@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the exact ROADMAP.md command, a smoke campaign
-# through the harp_run experiment runner (incl. an alias binary), a
+# through the harp_run experiment runner, a
 # harpd smoke (daemon + client submit, byte-compared against batch), a
 # chaos smoke (injected ENOSPC -> degraded -> SIGKILL -> resume,
 # byte-compared against batch), an overload smoke (two weighted tenants
@@ -73,9 +73,6 @@ cmp -s "$smoke_dir/a/quickstart.jsonl" "$smoke_dir/b/quickstart.jsonl" || {
     echo "verify: campaign results differ across thread counts" >&2
     exit 1
 }
-
-# Alias binaries forward into the same runner.
-./build/examples/example_quickstart --out "$smoke_dir/alias" > /dev/null
 
 # --- harpd smoke ----------------------------------------------------------
 # The resident service must stream byte-identical results to a batch
@@ -481,7 +478,7 @@ if [[ $FULL -eq 1 ]]; then
         sdir="build-tsan"
         [[ $san == address ]] && sdir="build-asan"
         cmake -B "$sdir" -S . -DHARP_SANITIZE="$san" \
-            -DHARP_BUILD_BENCH=OFF -DHARP_BUILD_EXAMPLES=OFF > /dev/null
+            -DHARP_BUILD_BENCH=OFF > /dev/null
         cmake --build "$sdir" -j
         (cd "$sdir" && ctest -L unit --output-on-failure -j) || {
             echo "verify: unit suite failed under $san sanitizer" >&2

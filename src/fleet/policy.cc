@@ -2,14 +2,14 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <stdexcept>
 
 #include "common/ordered_merger.hh"
 #include "common/thread_pool.hh"
 #include "core/harp_profiler.hh"
 #include "core/naive_profiler.hh"
-#include "core/round_engine.hh"
-#include "core/sliced_round_engine.hh"
+#include "core/profiling_batch.hh"
 #include "memsys/memory_controller.hh"
 
 namespace harp::fleet {
@@ -52,64 +52,60 @@ wordEngineSeed(const ChipSim &sim, std::size_t word)
 }
 
 /**
- * Sliced profiling over one stratum: faulty words of *different* chips
- * share lane blocks (each chip contributes few faulty words, so
- * cross-chip batching is what fills 64/256 lanes). Per-lane seeds use
- * the scalar derivation, so profiles are bit-identical to
- * profileChipScalar at any width.
+ * Profile every faulty word of @p sims through one driver batch.
+ * Faulty words of *different* chips share lane blocks (each chip
+ * contributes few faulty words, so cross-chip batching is what fills
+ * 64/256 lanes). Per-word seeds do not depend on the batching, so
+ * profiles are bit-identical under every engine.
  */
-template <std::size_t W>
 void
-profileStratumSliced(std::vector<ChipSim> &sims,
-                     const FleetPolicy &policy)
+profileChips(std::span<ChipSim> sims, const FleetPolicy &policy,
+             core::EngineKind engine)
 {
     struct Entry
     {
-        std::size_t sim;
+        ChipSim *sim;
         std::size_t word;
     };
     std::vector<Entry> entries;
-    for (std::size_t s = 0; s < sims.size(); ++s) {
-        sims[s].profiles.assign(sims[s].faultyWords.size(),
-                                gf2::BitVector());
-        for (std::size_t i = 0; i < sims[s].faultyWords.size(); ++i)
-            entries.push_back({s, i});
+    for (ChipSim &sim : sims) {
+        sim.profiles.assign(sim.faultyWords.size(), gf2::BitVector());
+        for (std::size_t i = 0; i < sim.faultyWords.size(); ++i)
+            entries.push_back({&sim, i});
     }
 
-    const std::size_t lanes_per_block = W * 64;
-    for (std::size_t base = 0; base < entries.size();
-         base += lanes_per_block) {
-        const std::size_t count =
-            std::min(lanes_per_block, entries.size() - base);
-        std::vector<const ecc::HammingCode *> codes(count);
-        std::vector<const fault::WordFaultModel *> faults(count);
-        std::vector<std::uint64_t> seeds(count);
-        std::vector<std::unique_ptr<core::Profiler>> profilers(count);
-        std::vector<std::vector<core::Profiler *>> slots(count);
-        for (std::size_t j = 0; j < count; ++j) {
-            ChipSim &sim = sims[entries[base + j].sim];
-            const auto &[word, model] =
-                sim.faultyWords[entries[base + j].word];
-            codes[j] = &sim.onDie;
-            faults[j] = &model;
-            seeds[j] = wordEngineSeed(sim, word);
-            profilers[j] = makeProfiler(policy.profiler, sim.onDie);
-            slots[j] = {profilers[j].get()};
-        }
-        {
-            core::SlicedRoundEngineW<W> engine(
-                codes, faults, core::PatternKind::Random, seeds);
-            for (std::size_t r = 0; r < policy.activeRounds; ++r)
-                engine.runRound(slots);
-            // Engine destruction flushes the lane-native observer
-            // groups before the profiles are read below.
-        }
-        for (std::size_t j = 0; j < count; ++j) {
-            const Entry &entry = entries[base + j];
-            sims[entry.sim].profiles[entry.word] =
-                profilers[j]->identified();
-        }
-    }
+    // Block payload: one profiler per word, from entries[begin] on.
+    struct Block
+    {
+        std::size_t begin = 0;
+        std::vector<std::unique_ptr<core::Profiler>> profilers;
+    };
+    core::ProfilingPlan plan;
+    plan.words = entries.size();
+    plan.engine = engine;
+    plan.rounds = policy.activeRounds;
+    // Strata already run in parallel (runFleet).
+    plan.threads = 1;
+    core::ProfilingBatch(plan).run<Block>(
+        [&](Block &block, std::size_t begin, std::size_t end,
+            core::ProfilingLanes &lanes) {
+            block.begin = begin;
+            for (std::size_t g = begin; g < end; ++g) {
+                const ChipSim &sim = *entries[g].sim;
+                const auto &[word, model] = sim.faultyWords[entries[g].word];
+                block.profilers.push_back(
+                    makeProfiler(policy.profiler, sim.onDie));
+                lanes.add(sim.onDie, model, wordEngineSeed(sim, word),
+                          {block.profilers.back().get()});
+            }
+        },
+        [&](Block &block) {
+            for (std::size_t j = 0; j < block.profilers.size(); ++j) {
+                const Entry &entry = entries[block.begin + j];
+                entry.sim->profiles[entry.word] =
+                    block.profilers[j]->identified();
+            }
+        });
 }
 
 FleetAggregator
@@ -130,20 +126,8 @@ runStratum(const FleetConfig &config, const PopulationSampler &sampler,
     }
 
     if (config.policy.profiler != ProfilerKind::None &&
-        config.policy.activeRounds > 0) {
-        switch (config.engine) {
-          case core::EngineKind::Scalar:
-            for (ChipSim &sim : sims)
-                profileChipScalar(sim, config.policy);
-            break;
-          case core::EngineKind::Sliced64:
-            profileStratumSliced<1>(sims, config.policy);
-            break;
-          case core::EngineKind::Sliced256:
-            profileStratumSliced<4>(sims, config.policy);
-            break;
-        }
-    }
+        config.policy.activeRounds > 0)
+        profileChips(sims, config.policy, config.engine);
 
     for (ChipSim &sim : sims)
         agg.addChip(runChipOperation(sim, config.wordsPerChip,
@@ -218,19 +202,7 @@ profileChipScalar(ChipSim &sim, const FleetPolicy &policy)
         sim.profiles.clear();
         return;
     }
-    sim.profiles.assign(sim.faultyWords.size(), gf2::BitVector());
-    for (std::size_t i = 0; i < sim.faultyWords.size(); ++i) {
-        const auto &[word, model] = sim.faultyWords[i];
-        const std::unique_ptr<core::Profiler> profiler =
-            makeProfiler(policy.profiler, sim.onDie);
-        core::RoundEngine engine(sim.onDie, model,
-                                 core::PatternKind::Random,
-                                 wordEngineSeed(sim, word));
-        const std::vector<core::Profiler *> set = {profiler.get()};
-        for (std::size_t r = 0; r < policy.activeRounds; ++r)
-            engine.runRound(set);
-        sim.profiles[i] = profiler->identified();
-    }
+    profileChips(std::span(&sim, 1), policy, core::EngineKind::Scalar);
 }
 
 ChipOutcome

@@ -15,18 +15,14 @@
 
 #include "common/rng.hh"
 #include "common/stats.hh"
-#include "common/thread_pool.hh"
 #include "core/at_risk_analyzer.hh"
 #include "core/data_pattern.hh"
 #include "core/harp_profiler.hh"
 #include "core/naive_profiler.hh"
-#include "core/round_engine.hh"
-#include "core/sliced_round_engine.hh"
-#include "ecc/bch_code.hh"
+#include "core/profiling_batch.hh"
 #include "ecc/bch_general.hh"
 #include "ecc/extended_hamming_code.hh"
 #include "ecc/hamming_code.hh"
-#include "ecc/sliced_bch.hh"
 #include "fault/fault_model.hh"
 #include "gf2/linear_solver.hh"
 #include "runner/registry.hh"
@@ -37,93 +33,6 @@ namespace harp::runner {
 namespace {
 
 using namespace harp;
-
-/**
- * Drive every word's profilers through blocks of <= W*64 sliced BCH
- * lanes. One prewarmed datapath is built up front; every block task
- * runs a *copy* of it — copies share the thread-safe syndrome memo
- * (ecc/sliced_bch_memo.hh) but own private scratch, so blocks shard
- * across the pool when the campaign grants inner threads. Per-lane
- * outcomes (and therefore the JSONL) are identical at any lane width
- * or thread count.
- */
-template <std::size_t W>
-void
-driveSlicedBch(const ecc::BchCode &code,
-               const std::vector<const fault::WordFaultModel *> &faults,
-               const std::vector<std::uint64_t> &seeds,
-               const std::vector<std::vector<core::Profiler *>> &profilers,
-               std::size_t rounds, std::size_t threads)
-{
-    constexpr std::size_t lanes = gf2::BitSliceW<W>::laneCount;
-    const std::size_t words = faults.size();
-    if (words == 0)
-        return;
-    const ecc::SlicedBchCodeW<W> shared(code, std::min(lanes, words));
-    const std::size_t num_blocks = (words + lanes - 1) / lanes;
-    common::parallelFor(num_blocks, [&](std::size_t block) {
-        const std::size_t begin = block * lanes;
-        const std::size_t end = std::min(begin + lanes, words);
-        const std::vector<const fault::WordFaultModel *> block_faults(
-            faults.begin() + static_cast<std::ptrdiff_t>(begin),
-            faults.begin() + static_cast<std::ptrdiff_t>(end));
-        const std::vector<std::uint64_t> block_seeds(
-            seeds.begin() + static_cast<std::ptrdiff_t>(begin),
-            seeds.begin() + static_cast<std::ptrdiff_t>(end));
-        std::vector<std::vector<core::Profiler *>> block_profilers(
-            profilers.begin() + static_cast<std::ptrdiff_t>(begin),
-            profilers.begin() + static_cast<std::ptrdiff_t>(end));
-        // The copy shares the memo thread-safely and owns its scratch;
-        // engines must never share one datapath *instance* across
-        // workers (see ecc/sliced_bch.hh).
-        const ecc::SlicedBchCodeW<W> datapath(shared);
-        core::SlicedRoundEngineW<W> engine(datapath, block_faults,
-                                           core::PatternKind::Random,
-                                           block_seeds);
-        for (std::size_t r = 0; r < rounds; ++r)
-            engine.runRound(block_profilers);
-    }, threads);
-}
-
-/**
- * Hamming sibling of driveSlicedBch: heterogeneous per-lane SEC codes
- * (equal k) pack straight into blocks of <= W*64 lanes, ragged tail
- * included. Stateless datapath, so blocks are trivially independent.
- */
-template <std::size_t W>
-void
-driveSlicedHamming(
-    const std::vector<const ecc::HammingCode *> &codes,
-    const std::vector<const fault::WordFaultModel *> &faults,
-    const std::vector<std::uint64_t> &seeds,
-    const std::vector<std::vector<core::Profiler *>> &profilers,
-    std::size_t rounds, std::size_t threads)
-{
-    constexpr std::size_t lanes = gf2::BitSliceW<W>::laneCount;
-    const std::size_t words = codes.size();
-    const std::size_t num_blocks = (words + lanes - 1) / lanes;
-    common::parallelFor(num_blocks, [&](std::size_t block) {
-        const std::size_t begin = block * lanes;
-        const std::size_t end = std::min(begin + lanes, words);
-        const std::vector<const ecc::HammingCode *> block_codes(
-            codes.begin() + static_cast<std::ptrdiff_t>(begin),
-            codes.begin() + static_cast<std::ptrdiff_t>(end));
-        const std::vector<const fault::WordFaultModel *> block_faults(
-            faults.begin() + static_cast<std::ptrdiff_t>(begin),
-            faults.begin() + static_cast<std::ptrdiff_t>(end));
-        const std::vector<std::uint64_t> block_seeds(
-            seeds.begin() + static_cast<std::ptrdiff_t>(begin),
-            seeds.begin() + static_cast<std::ptrdiff_t>(end));
-        std::vector<std::vector<core::Profiler *>> block_profilers(
-            profilers.begin() + static_cast<std::ptrdiff_t>(begin),
-            profilers.begin() + static_cast<std::ptrdiff_t>(end));
-        core::SlicedRoundEngineW<W> engine(block_codes, block_faults,
-                                           core::PatternKind::Random,
-                                           block_seeds);
-        for (std::size_t r = 0; r < rounds; ++r)
-            engine.runRound(block_profilers);
-    }, threads);
-}
 
 /** True iff some dataword charges every cell of the subset @p mask. */
 bool
@@ -374,63 +283,56 @@ makeBchTSweep()
         const auto rounds =
             static_cast<std::size_t>(ctx.getInt("rounds", 64));
         const double prob = ctx.getDouble("prob", 0.5);
-        const core::EngineKind engine = engineFromContext(ctx);
 
         const ecc::BchCode code(k, t);
 
         // Per-word state with the standard per-word seed derivations;
-        // both engines consume the identical per-word streams.
+        // every engine consumes the identical per-word streams.
         struct SweepWord
         {
             fault::WordFaultModel faults;
             std::unique_ptr<core::NaiveProfiler> naive;
             std::unique_ptr<core::HarpUProfiler> harp;
-            std::uint64_t engineSeed = 0;
         };
-        std::vector<SweepWord> sims(words);
-        for (std::size_t w = 0; w < words; ++w) {
-            common::Xoshiro256 fault_rng(
-                common::deriveSeed(ctx.seed(), {0xFA17u, w}));
-            sims[w].faults = fault::WordFaultModel::makeUniformFixedCount(
-                code.n(), n_errors, prob, fault_rng);
-            sims[w].naive =
-                std::make_unique<core::NaiveProfiler>(code.k());
-            sims[w].harp =
-                std::make_unique<core::HarpUProfiler>(code.k());
-            sims[w].engineSeed =
-                common::deriveSeed(ctx.seed(), {0xE221u, w});
-        }
+        using Block = std::vector<SweepWord>;
+        std::vector<SweepWord> sims;
+        sims.reserve(words);
 
-        if (engine == core::EngineKind::Scalar) {
-            for (SweepWord &sim : sims) {
-                core::RoundEngine round_engine(code, sim.faults,
-                                               core::PatternKind::Random,
-                                               sim.engineSeed);
-                const std::vector<core::Profiler *> ps = {
-                    sim.naive.get(), sim.harp.get()};
-                for (std::size_t r = 0; r < rounds; ++r)
-                    round_engine.runRound(ps);
-            }
-        } else if (words > 0) {
-            std::vector<const fault::WordFaultModel *> fault_ptrs;
-            std::vector<std::uint64_t> seeds;
-            std::vector<std::vector<core::Profiler *>> lane_profilers;
-            for (std::size_t w = 0; w < words; ++w) {
-                fault_ptrs.push_back(&sims[w].faults);
-                seeds.push_back(sims[w].engineSeed);
-                lane_profilers.push_back(
-                    {sims[w].naive.get(), sims[w].harp.get()});
-            }
-            if (engine == core::EngineKind::Sliced256)
-                driveSlicedBch<4>(code, fault_ptrs, seeds,
-                                  lane_profilers, rounds, ctx.threads());
-            else
-                driveSlicedBch<1>(code, fault_ptrs, seeds,
-                                  lane_profilers, rounds, ctx.threads());
-        }
+        core::ProfilingPlan plan;
+        plan.words = words;
+        plan.engine = engineFromContext(ctx);
+        plan.rounds = rounds;
+        plan.threads = ctx.threads();
+        plan.bch = &code;
+        core::ProfilingBatch(plan).run<Block>(
+            [&](Block &block, std::size_t begin, std::size_t end,
+                core::ProfilingLanes &lanes) {
+                block.resize(end - begin);
+                for (std::size_t w = begin; w < end; ++w) {
+                    SweepWord &sim = block[w - begin];
+                    common::Xoshiro256 fault_rng(
+                        common::deriveSeed(ctx.seed(), {0xFA17u, w}));
+                    sim.faults =
+                        fault::WordFaultModel::makeUniformFixedCount(
+                            code.n(), n_errors, prob, fault_rng);
+                    sim.naive =
+                        std::make_unique<core::NaiveProfiler>(code.k());
+                    sim.harp =
+                        std::make_unique<core::HarpUProfiler>(code.k());
+                    lanes.add(sim.faults,
+                              common::deriveSeed(ctx.seed(), {0xE221u, w}),
+                              {sim.naive.get(), sim.harp.get()});
+                }
+            },
+            [&](Block &block) {
+                for (SweepWord &sim : block)
+                    sims.push_back(std::move(sim));
+            });
 
         // Ground truth per word by enumeration of feasible failing
-        // subsets through the general decoder (<= 2^pre_errors).
+        // subsets through the general decoder (<= 2^pre_errors). It
+        // runs after the batch: decoding mutates the code's scratch,
+        // which the scalar blocks copy.
         std::size_t direct_total = 0;
         std::size_t naive_found = 0, harp_found = 0;
         std::size_t full_words = 0;
@@ -530,75 +432,64 @@ makeLowProbability()
         const auto n_low =
             static_cast<std::size_t>(ctx.getInt("low_cells", 2));
 
-        const core::EngineKind engine_kind = engineFromContext(ctx);
-
-        // Build every word first (codes, mixed-tier fault models,
-        // profilers), then drive the rounds through the selected
-        // engine: per-word seed derivations are identical either way,
-        // so every engine emits byte-identical JSONL.
+        // Per-word seed derivations are independent of the engine, so
+        // every engine emits byte-identical JSONL.
         struct TierWord
         {
             std::unique_ptr<ecc::HammingCode> code;
             fault::WordFaultModel faults;
             std::unique_ptr<core::HarpUProfiler> harp;
-            std::uint64_t engineSeed = 0;
         };
-        std::vector<TierWord> sims(words);
-        for (std::size_t w = 0; w < words; ++w) {
-            common::Xoshiro256 code_rng(
-                common::deriveSeed(ctx.seed(), {0xC0DEu, w}));
-            sims[w].code = std::make_unique<ecc::HammingCode>(
-                ecc::HammingCode::randomSec(64, code_rng));
-            const ecc::HammingCode &code = *sims[w].code;
+        using Block = std::vector<TierWord>;
+        std::vector<TierWord> sims;
+        sims.reserve(words);
 
-            // Mixed fault model: distinct positions, two tiers.
-            common::Xoshiro256 fault_rng(common::deriveSeed(
-                ctx.seed(),
-                {0xFA17u, w, static_cast<std::uint64_t>(p_low_v * 1e6)}));
-            const fault::WordFaultModel placement =
-                fault::WordFaultModel::makeUniformFixedCount(
-                    code.n(), n_normal + n_low, 0.5, fault_rng);
-            std::vector<fault::CellFault> cells = placement.faults();
-            for (std::size_t i = 0; i < cells.size(); ++i)
-                cells[i].probability = i < n_normal ? 0.5 : p_low_v;
-            sims[w].faults = fault::WordFaultModel(code.n(), cells);
-            sims[w].harp = std::make_unique<core::HarpUProfiler>(code.k());
-            sims[w].engineSeed =
-                common::deriveSeed(ctx.seed(), {0xE221u, w, rounds_v});
-        }
+        // Heterogeneous per-lane codes (equal k) pack straight into
+        // lane blocks, ragged tail included — the long-tail rounds
+        // sweep is where the sliced datapath pays off most.
+        core::ProfilingPlan plan;
+        plan.words = words;
+        plan.engine = engineFromContext(ctx);
+        plan.rounds = rounds_v;
+        plan.threads = ctx.threads();
+        core::ProfilingBatch(plan).run<Block>(
+            [&](Block &block, std::size_t begin, std::size_t end,
+                core::ProfilingLanes &lanes) {
+                block.resize(end - begin);
+                for (std::size_t w = begin; w < end; ++w) {
+                    TierWord &sim = block[w - begin];
+                    common::Xoshiro256 code_rng(
+                        common::deriveSeed(ctx.seed(), {0xC0DEu, w}));
+                    sim.code = std::make_unique<ecc::HammingCode>(
+                        ecc::HammingCode::randomSec(64, code_rng));
+                    const ecc::HammingCode &code = *sim.code;
 
-        if (engine_kind == core::EngineKind::Scalar) {
-            for (TierWord &sim : sims) {
-                core::RoundEngine engine(*sim.code, sim.faults,
-                                         core::PatternKind::Random,
-                                         sim.engineSeed);
-                const std::vector<core::Profiler *> ps = {sim.harp.get()};
-                for (std::size_t r = 0; r < rounds_v; ++r)
-                    engine.runRound(ps);
-            }
-        } else {
-            // Heterogeneous per-lane codes (equal k) pack straight
-            // into lane blocks, ragged tail included — the long-tail
-            // rounds sweep is where the sliced datapath pays off most.
-            std::vector<const ecc::HammingCode *> code_ptrs;
-            std::vector<const fault::WordFaultModel *> fault_ptrs;
-            std::vector<std::uint64_t> seeds;
-            std::vector<std::vector<core::Profiler *>> lane_profilers;
-            for (std::size_t w = 0; w < words; ++w) {
-                code_ptrs.push_back(sims[w].code.get());
-                fault_ptrs.push_back(&sims[w].faults);
-                seeds.push_back(sims[w].engineSeed);
-                lane_profilers.push_back({sims[w].harp.get()});
-            }
-            if (engine_kind == core::EngineKind::Sliced256)
-                driveSlicedHamming<4>(code_ptrs, fault_ptrs, seeds,
-                                      lane_profilers, rounds_v,
-                                      ctx.threads());
-            else
-                driveSlicedHamming<1>(code_ptrs, fault_ptrs, seeds,
-                                      lane_profilers, rounds_v,
-                                      ctx.threads());
-        }
+                    // Mixed fault model: distinct positions, two tiers.
+                    common::Xoshiro256 fault_rng(common::deriveSeed(
+                        ctx.seed(),
+                        {0xFA17u, w,
+                         static_cast<std::uint64_t>(p_low_v * 1e6)}));
+                    const fault::WordFaultModel placement =
+                        fault::WordFaultModel::makeUniformFixedCount(
+                            code.n(), n_normal + n_low, 0.5, fault_rng);
+                    std::vector<fault::CellFault> cells =
+                        placement.faults();
+                    for (std::size_t i = 0; i < cells.size(); ++i)
+                        cells[i].probability =
+                            i < n_normal ? 0.5 : p_low_v;
+                    sim.faults = fault::WordFaultModel(code.n(), cells);
+                    sim.harp =
+                        std::make_unique<core::HarpUProfiler>(code.k());
+                    lanes.add(code, sim.faults,
+                              common::deriveSeed(ctx.seed(),
+                                                 {0xE221u, w, rounds_v}),
+                              {sim.harp.get()});
+                }
+            },
+            [&](Block &block) {
+                for (TierWord &sim : block)
+                    sims.push_back(std::move(sim));
+            });
 
         std::size_t direct_total = 0, direct_found = 0;
         std::size_t missed_bits = 0, unsafe_words = 0;
@@ -674,7 +565,7 @@ makeSecondaryInterleaving()
         common::Xoshiro256 setup_rng(ctx.seed());
         const ecc::ExtendedHammingCode secded =
             ecc::ExtendedHammingCode::randomSecDed(128, setup_rng);
-        const ecc::BchDecCode bch(128);
+        const ecc::BchCode bch(128, 2);
 
         std::size_t single_indirect = 0, double_indirect = 0;
         std::size_t secded_uncorrectable = 0, secded_wrong = 0;
@@ -760,7 +651,8 @@ makeSecondaryInterleaving()
                         codeword.set(i, joined_read.get(i));
                     for (std::size_t i = 0; i < check.size(); ++i)
                         codeword.set(128 + i, check.get(i));
-                    const ecc::BchDecodeResult r = bch.decode(codeword);
+                    const ecc::BchGeneralDecodeResult r =
+                        bch.decode(codeword);
                     if (r.detectedUncorrectable ||
                         !(r.dataword == joined_written))
                         ++bch_failures;

@@ -164,6 +164,20 @@ streamToEnd(Client &client, const JsonValue &request)
     return streamed;
 }
 
+/**
+ * Read the holder's first event and require `accepted`: the holder
+ * must own the tenant's campaign slot before a rival submits, or the
+ * server may admit the rival first and the rival never parks.
+ */
+void
+expectAccepted(Client &holder)
+{
+    const std::optional<JsonValue> event = holder.read();
+    ASSERT_TRUE(event.has_value());
+    ASSERT_EQ(event->find("type")->asString(), "accepted")
+        << event->dump();
+}
+
 class ServerOverloadTest : public ::testing::Test
 {
   protected:
@@ -356,6 +370,7 @@ TEST_F(ServerOverloadTest, DeadlineCancelReleasesQuotaToParkedWork)
     Client holder(config_.socketPath);
     ASSERT_TRUE(holder.send(
         submitRequest("held", "acme", 6, "20", "", 150)));
+    ASSERT_NO_FATAL_FAILURE(expectAccepted(holder));
 
     // "parked" from the same tenant lands in the admission queue: the
     // stream leads with `queued` carrying position + retry estimate.
@@ -400,6 +415,7 @@ TEST_F(ServerOverloadTest, QueueIsBoundedCancellableAndOrderRefreshed)
 
     Client holder(config_.socketPath);
     ASSERT_TRUE(holder.send(submitRequest("held", "acme", 6, "40")));
+    ASSERT_NO_FATAL_FAILURE(expectAccepted(holder));
 
     Client first(config_.socketPath);
     ASSERT_TRUE(first.send(submitRequest("q1", "acme", 1)));

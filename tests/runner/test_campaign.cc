@@ -329,39 +329,44 @@ TEST(CampaignDeterminism, EngineAndShardOverridesHashIdentically)
 }
 
 /**
- * The BCH extension sweep under `--engine`: scalar, sliced64 and
- * sliced256 runs of bch_t_sweep must emit byte-identical JSONL for a
- * fixed seed — the memoized sliced BCH datapath is exactly equivalent
- * to the scalar Berlekamp-Massey decoder at every width. words = 70
- * exercises a ragged sliced block (64 + 6 lanes).
+ * The extension specs under `--engine`: scalar, sliced64 and sliced256
+ * runs of bch_t_sweep (memoized sliced BCH datapath against the scalar
+ * Berlekamp-Massey decoder) and extension_low_probability
+ * (heterogeneous per-lane Hamming codes) must emit byte-identical
+ * JSONL for a fixed seed. words = 70 exercises a ragged sliced block
+ * (64 + 6 lanes).
  */
 TEST(CampaignDeterminism, BchTSweepEngineOverridesHashIdentically)
 {
-    std::vector<std::uint64_t> hashes;
-    std::vector<std::string> jsonl_bytes;
-    for (const char *engine : {"scalar", "sliced64", "sliced256"}) {
-        const TempDir dir(std::string("bch_engine_") + engine);
-        CampaignOptions options;
-        options.seed = 13;
-        options.threads = 2;
-        options.outDir = dir.str();
-        options.overrides = {{"engine", engine},
-                             {"words", "70"},
-                             {"rounds", "6"},
-                             {"pre_errors", "3"}};
-        std::ostringstream log;
-        const CampaignSummary summary =
-            runFast({"bch_t_sweep"}, options, log);
-        ASSERT_EQ(summary.experiments.size(), 1u);
-        hashes.push_back(summary.experiments[0].resultHash);
-        jsonl_bytes.push_back(
-            readFile(summary.experiments[0].jsonlPath));
+    for (const char *experiment :
+         {"bch_t_sweep", "extension_low_probability"}) {
+        std::vector<std::uint64_t> hashes;
+        std::vector<std::string> jsonl_bytes;
+        for (const char *engine : {"scalar", "sliced64", "sliced256"}) {
+            const TempDir dir(std::string("ext_engine_") + experiment +
+                              "_" + engine);
+            CampaignOptions options;
+            options.seed = 13;
+            options.threads = 2;
+            options.outDir = dir.str();
+            options.overrides = {{"engine", engine},
+                                 {"words", "70"},
+                                 {"rounds", "6"},
+                                 {"pre_errors", "3"}};
+            std::ostringstream log;
+            const CampaignSummary summary =
+                runFast({experiment}, options, log);
+            ASSERT_EQ(summary.experiments.size(), 1u);
+            hashes.push_back(summary.experiments[0].resultHash);
+            jsonl_bytes.push_back(
+                readFile(summary.experiments[0].jsonlPath));
+        }
+        ASSERT_EQ(hashes.size(), 3u);
+        EXPECT_EQ(hashes[0], hashes[1]) << experiment;
+        EXPECT_EQ(hashes[0], hashes[2]) << experiment;
+        EXPECT_EQ(jsonl_bytes[0], jsonl_bytes[1]) << experiment;
+        EXPECT_EQ(jsonl_bytes[0], jsonl_bytes[2]) << experiment;
     }
-    ASSERT_EQ(hashes.size(), 3u);
-    EXPECT_EQ(hashes[0], hashes[1]);
-    EXPECT_EQ(hashes[0], hashes[2]);
-    EXPECT_EQ(jsonl_bytes[0], jsonl_bytes[1]);
-    EXPECT_EQ(jsonl_bytes[0], jsonl_bytes[2]);
 }
 
 /** The longest-first scheduling heuristic: scale-like integer params
