@@ -3,10 +3,11 @@
  * Exact ground-truth analysis of at-risk bits for one ECC word
  * (HARP sections 3.2, 4.1 and 7.1.2).
  *
- * Given the on-die ECC code and the word's fault model, the analyzer
- * enumerates every feasible pre-correction error pattern (every subset of
- * at-risk cells that some dataword can charge simultaneously) and pushes
- * it through syndrome decoding. From the resulting outcomes it derives:
+ * Given the on-die ECC code (SEC Hamming or t-error-correcting BCH) and
+ * the word's fault model, the analyzer enumerates every feasible
+ * pre-correction error pattern (every subset of at-risk cells that some
+ * dataword can make fail simultaneously) and decodes it. From the
+ * resulting outcomes it derives:
  *
  *  - the set of bits at risk of direct error,
  *  - the set of bits at risk of indirect error (miscorrection targets),
@@ -17,21 +18,37 @@
  *  - the bits that remain unsafe under a single-error-correcting
  *    secondary ECC (Fig. 10's "after reactive profiling" metric).
  *
- * The original artifact computed these quantities with the Z3 SAT solver;
- * enumeration with GF(2) feasibility solving is exact for the evaluated
- * regime (<= ~16 at-risk cells per word) — see DESIGN.md, substitution 1.
+ * The original artifact computed these quantities with the Z3 SAT
+ * solver; enumerating all 2^m masks over the word's m <= maxCells
+ * at-risk cells is exact. Cell i stores r_i . d for dataword d (a unit
+ * row for a data cell, the code's parity row for a parity cell). Mask
+ * M is feasible iff r_i . d = b_i is solvable over the cells A = M plus
+ * every p=1 cell (a charged p=1 cell always fails), where b_i = 1
+ * exactly on M for true cells and on A minus M for anti cells. That
+ * holds iff every dependency T of the rows (XOR of r_i over T = 0) that
+ * lies inside A has even parity over b. One Gaussian elimination per
+ * word yields the dependency space of all m rows; its dimension is at
+ * most the number of parity cells, as data rows are distinct unit
+ * vectors. A feasible mask's post-correction errors are the decoded
+ * dataword of the error pattern itself taken as a received word, which
+ * for these syndrome decoders of linear codes equals decoding any
+ * codeword that carries the pattern.
  */
 
 #ifndef HARP_CORE_AT_RISK_ANALYZER_HH
 #define HARP_CORE_AT_RISK_ANALYZER_HH
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
+#include "ecc/bch_general.hh"
 #include "ecc/hamming_code.hh"
 #include "fault/fault_model.hh"
 #include "gf2/bit_vector.hh"
+
+namespace harp::ecc {
+class WordCodec;
+} // namespace harp::ecc
 
 namespace harp::core {
 
@@ -40,32 +57,31 @@ struct ErrorPatternOutcome
 {
     /** Bitmask over the word's at-risk cell list: which cells fail. */
     std::uint32_t failingMask = 0;
-    /** Raw syndrome of the failing pattern. */
-    std::uint32_t syndrome = 0;
-    /** Position the decoder flips, if the syndrome matches a column. */
-    std::optional<std::size_t> correctedPosition;
     /** Data positions in error after decoding (sorted). */
     std::vector<std::uint16_t> postErrors;
 };
 
 /**
  * Ground-truth at-risk analysis for a single (code, fault model) pair.
+ * Holds no reference to either after construction.
  */
 class AtRiskAnalyzer
 {
   public:
-    /**
-     * @param code      The word's on-die ECC code.
-     * @param faults    The word's fault model.
-     * @param max_cells Enumeration guard; throws std::invalid_argument if
-     *                  the fault model has more at-risk cells than this
-     *                  (2^cells patterns are enumerated).
-     */
-    AtRiskAnalyzer(const ecc::HammingCode &code,
-                   const fault::WordFaultModel &faults,
-                   std::size_t max_cells = 16);
+    /** Largest at-risk cell count enumerated (2^cells masks); the
+     *  constructors throw std::invalid_argument above it. */
+    static constexpr std::size_t maxCells = 16;
 
-    /** Every feasible failing pattern with its decode outcome. */
+    /** Analyze a word protected by a SEC Hamming code. */
+    AtRiskAnalyzer(const ecc::HammingCode &code,
+                   const fault::WordFaultModel &faults);
+
+    /** Analyze a word protected by a t-error-correcting BCH code. */
+    AtRiskAnalyzer(const ecc::BchCode &code,
+                   const fault::WordFaultModel &faults);
+
+    /** Every feasible failing pattern with its decode outcome, in
+     *  ascending failingMask order. */
     const std::vector<ErrorPatternOutcome> &outcomes() const
     {
         return outcomes_;
@@ -115,19 +131,15 @@ class AtRiskAnalyzer
     std::size_t numAtRiskCells() const { return cells_.size(); }
 
   private:
-    /** Decode outcome of an arbitrary failing-cell mask (no feasibility
-     *  check). */
-    ErrorPatternOutcome computeOutcome(std::uint32_t mask) const;
+    /** The one enumerator both public constructors delegate to. */
+    AtRiskAnalyzer(const ecc::WordCodec &codec,
+                   const fault::WordFaultModel &faults);
 
-    /** True iff some dataword charges exactly the cells that must fail
-     *  (members of @p mask) while discharging at-risk cells that would
-     *  otherwise fail deterministically (probability-1 cells outside
-     *  @p mask). */
-    bool feasible(std::uint32_t mask) const;
-
-    const ecc::HammingCode &code_;
-    const fault::WordFaultModel &faults_;
     std::vector<fault::CellFault> cells_;
+    /** cellRows_[i] . d is the bit cell i stores under dataword d. */
+    std::vector<gf2::BitVector> cellRows_;
+    /** Stored bit value that charges a cell (true for true cells). */
+    bool chargedValue_ = true;
 
     std::vector<ErrorPatternOutcome> outcomes_;
     gf2::BitVector directAtRisk_;

@@ -79,11 +79,9 @@ ProfilingBatch::profile(const ProfilingLanes &lanes,
 {
     switch (plan_.engine) {
       case EngineKind::Scalar:
-        // Scalar blocks hold exactly one word. BchCode decodes through
-        // mutable scratch, so every block runs a private copy.
+        // Scalar blocks hold exactly one word.
         if (plan_.bch != nullptr) {
-            const ecc::BchCode code(*plan_.bch);
-            RoundEngine engine(code, *lanes.faults[0], plan_.pattern,
+            RoundEngine engine(*plan_.bch, *lanes.faults[0], plan_.pattern,
                                lanes.seeds[0]);
             runRounds(engine, lanes.profilers[0], plan_.rounds, hook);
         } else {

@@ -138,15 +138,15 @@ BchCode::encodeInto(const gf2::BitVector &dataword,
 }
 
 bool
-BchCode::berlekampMassey() const
+BchCode::berlekampMassey(BchDecodeScratch &scratch) const
 {
     // Standard Berlekamp-Massey over GF(2^m). Lambda and B are
-    // polynomials with Lambda[0] == 1 throughout, held in member
+    // polynomials with Lambda[0] == 1 throughout, held in the caller's
     // scratch so steady state allocates nothing.
-    const std::vector<Gf2m::Element> &s = synScratch_;
-    std::vector<Gf2m::Element> &lambda = lambdaScratch_;
-    std::vector<Gf2m::Element> &b = bScratch_;
-    std::vector<Gf2m::Element> &next = nextScratch_;
+    const std::vector<Gf2m::Element> &s = scratch.syndromes;
+    std::vector<Gf2m::Element> &lambda = scratch.lambda;
+    std::vector<Gf2m::Element> &b = scratch.shadow;
+    std::vector<Gf2m::Element> &next = scratch.next;
     lambda.assign(1, 1);
     b.assign(1, 1);
     std::size_t reg_len = 0;   // current LFSR length L
@@ -189,10 +189,10 @@ BchCode::berlekampMassey() const
 }
 
 bool
-BchCode::chienSearch() const
+BchCode::chienSearch(BchDecodeScratch &scratch) const
 {
-    const std::vector<Gf2m::Element> &lambda = lambdaScratch_;
-    std::vector<std::size_t> &roots = rootsScratch_;
+    const std::vector<Gf2m::Element> &lambda = scratch.lambda;
+    std::vector<std::size_t> &roots = scratch.roots;
     roots.clear();
     const std::size_t degree = lambda.size() - 1;
     if (degree == 0)
@@ -232,7 +232,8 @@ BchCode::decodeInto(const gf2::BitVector &codeword,
 
     // Syndromes S_1 .. S_2t over the received polynomial, via the
     // per-coefficient alpha-power table.
-    synScratch_.assign(2 * t_, 0);
+    std::vector<Gf2m::Element> &syndromes = result.scratch.syndromes;
+    syndromes.assign(2 * t_, 0);
     bool all_zero = true;
     const std::vector<std::uint64_t> &words = codeword.words();
     for (std::size_t w = 0; w < words.size(); ++w) {
@@ -245,19 +246,19 @@ BchCode::decodeInto(const gf2::BitVector &codeword,
             const Gf2m::Element *row =
                 &synAlpha_[coefficientOf(pos) * 2 * t_];
             for (std::size_t j = 0; j < 2 * t_; ++j)
-                synScratch_[j] ^= row[j];
+                syndromes[j] ^= row[j];
         }
     }
-    for (const Gf2m::Element s : synScratch_)
+    for (const Gf2m::Element s : syndromes)
         all_zero = all_zero && (s == 0);
     if (all_zero)
         return;
 
-    if (!berlekampMassey() || !chienSearch()) {
+    if (!berlekampMassey(result.scratch) || !chienSearch(result.scratch)) {
         result.detectedUncorrectable = true;
         return;
     }
-    for (const std::size_t c : rootsScratch_) {
+    for (const std::size_t c : result.scratch.roots) {
         const auto pos = positionOf(c);
         assert(pos.has_value());
         result.correctedPositions.push_back(*pos);

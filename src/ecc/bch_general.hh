@@ -10,13 +10,11 @@
  * arbitrary-t codes to study that scaling.
  *
  * The decode hot path is allocation-free: syndromes come from a
- * precomputed per-coefficient alpha-power table, the Berlekamp-Massey
- * and Chien stages run on reusable member scratch, and decodeInto()
- * writes into a caller-owned result whose buffers persist across
- * calls. Because that scratch is per-instance, decoding the *same*
- * BchCode object from multiple threads requires external
- * synchronization — give each concurrently-driven word its own copy
- * (the class is cheaply copyable).
+ * precomputed per-coefficient alpha-power table, and decodeInto()
+ * writes into a caller-owned result whose buffers (including the
+ * Berlekamp-Massey and Chien scratch) persist across calls. A BchCode
+ * is immutable after construction, so one const instance may be
+ * decoded from many threads at once, each with its own result.
  */
 
 #ifndef HARP_ECC_BCH_GENERAL_HH
@@ -31,6 +29,20 @@
 
 namespace harp::ecc {
 
+/** Working storage of one general-BCH decode, reused across calls. */
+struct BchDecodeScratch
+{
+    /** Syndromes S_1 .. S_2t. */
+    std::vector<Gf2m::Element> syndromes;
+    /** Berlekamp-Massey error locator, its shadow B and the next
+     *  locator candidate. */
+    std::vector<Gf2m::Element> lambda;
+    std::vector<Gf2m::Element> shadow;
+    std::vector<Gf2m::Element> next;
+    /** Chien-search roots (coefficient indices). */
+    std::vector<std::size_t> roots;
+};
+
 /** Outcome of one general-BCH decode. */
 struct BchGeneralDecodeResult
 {
@@ -41,6 +53,9 @@ struct BchGeneralDecodeResult
     /** True when the syndromes were inconsistent with <= t in-range
      *  errors; no correction is applied. */
     bool detectedUncorrectable = false;
+    /** The decoder's working storage; owned here, not by the code, so
+     *  a shared BchCode stays thread-safe. */
+    BchDecodeScratch scratch;
 };
 
 /**
@@ -79,9 +94,9 @@ class BchCode
     /**
      * Allocation-free decode into a reusable result object: after the
      * first call with the same @p result, steady state performs no
-     * heap allocation (scratch lives in the code instance and the
-     * result's buffers are reused). Not thread-safe on a shared
-     * instance — see the file comment.
+     * heap allocation (every buffer, scratch included, lives in the
+     * result). Concurrent calls on one instance are safe as long as
+     * each uses its own @p result.
      */
     void decodeInto(const gf2::BitVector &codeword,
                     BchGeneralDecodeResult &result) const;
@@ -113,19 +128,19 @@ class BchCode
 
   private:
     /**
-     * Berlekamp-Massey over the member syndrome scratch: fills
-     * lambdaScratch_ with the error-locator polynomial. False when the
-     * register length exceeds t (more than t errors signalled).
+     * Berlekamp-Massey over @p s.syndromes: fills @p s.lambda with the
+     * error-locator polynomial. False when the register length exceeds
+     * t (more than t errors signalled).
      */
-    bool berlekampMassey() const;
+    bool berlekampMassey(BchDecodeScratch &s) const;
 
     /**
-     * Chien search over lambdaScratch_: fills rootsScratch_ with the
+     * Chien search over @p s.lambda: fills @p s.roots with the
      * coefficient indices i < n where Lambda(alpha^-i) = 0. False when
      * the root count does not match deg Lambda (errors outside the
      * shortened range or a degenerate locator).
      */
-    bool chienSearch() const;
+    bool chienSearch(BchDecodeScratch &s) const;
 
     std::size_t k_;
     std::size_t t_;
@@ -139,13 +154,6 @@ class BchCode
     std::vector<Gf2m::Element> synAlpha_;
     /** chienXInv_[i] = alpha^(-i), the Chien evaluation points. */
     std::vector<Gf2m::Element> chienXInv_;
-
-    // Decode scratch (see the thread-safety note in the file comment).
-    mutable std::vector<Gf2m::Element> synScratch_;
-    mutable std::vector<Gf2m::Element> lambdaScratch_;
-    mutable std::vector<Gf2m::Element> bScratch_;
-    mutable std::vector<Gf2m::Element> nextScratch_;
-    mutable std::vector<std::size_t> rootsScratch_;
 };
 
 } // namespace harp::ecc

@@ -39,6 +39,10 @@ class WordCodec
     /** Codeword length. */
     virtual std::size_t n() const = 0;
 
+    /** Parity bit @p j (codeword position k + j) as a linear function
+     *  of the dataword. */
+    virtual const gf2::BitVector &parityRow(std::size_t j) const = 0;
+
     /** Encode @p data (length k) into @p codeword (pre-sized n). */
     virtual void encodeInto(const gf2::BitVector &data,
                             gf2::BitVector &codeword) const = 0;
@@ -65,6 +69,11 @@ class HammingWordCodec final : public WordCodec
     std::size_t k() const override { return code_.k(); }
     std::size_t n() const override { return code_.n(); }
 
+    const gf2::BitVector &parityRow(std::size_t j) const override
+    {
+        return code_.parityRow(j);
+    }
+
     void encodeInto(const gf2::BitVector &data,
                     gf2::BitVector &codeword) const override
     {
@@ -83,9 +92,9 @@ class HammingWordCodec final : public WordCodec
 
 /**
  * WordCodec over a general t-error-correcting BCH code. Holds a
- * reference; the code must outlive the adapter. Decoding goes through
- * BchCode::decodeInto's reusable scratch, so each concurrently-driven
- * word needs its own BchCode instance (see bch_general.hh).
+ * reference; the code must outlive the adapter. The adapter owns the
+ * reusable decode result, so each concurrently-driven word needs its
+ * own adapter; the BchCode itself may be shared (see bch_general.hh).
  */
 class BchWordCodec final : public WordCodec
 {
@@ -94,6 +103,11 @@ class BchWordCodec final : public WordCodec
 
     std::size_t k() const override { return code_.k(); }
     std::size_t n() const override { return code_.n(); }
+
+    const gf2::BitVector &parityRow(std::size_t j) const override
+    {
+        return code_.parityRow(j);
+    }
 
     void encodeInto(const gf2::BitVector &data,
                     gf2::BitVector &codeword) const override

@@ -9,9 +9,7 @@
  */
 
 #include <algorithm>
-#include <functional>
 #include <memory>
-#include <set>
 
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -24,7 +22,6 @@
 #include "ecc/extended_hamming_code.hh"
 #include "ecc/hamming_code.hh"
 #include "fault/fault_model.hh"
-#include "gf2/linear_solver.hh"
 #include "runner/registry.hh"
 #include "runner/sweeps.hh"
 
@@ -33,57 +30,6 @@ namespace harp::runner {
 namespace {
 
 using namespace harp;
-
-/** True iff some dataword charges every cell of the subset @p mask. */
-bool
-feasibleOnBch(const ecc::BchCode &code, const fault::WordFaultModel &fm,
-              std::uint32_t mask)
-{
-    gf2::ConstraintSystem cs(code.k());
-    for (std::size_t i = 0; i < fm.numFaults(); ++i) {
-        if (((mask >> i) & 1) == 0)
-            continue;
-        const std::size_t pos = fm.faults()[i].position;
-        if (pos < code.k())
-            cs.pinVariable(pos, true);
-        else
-            cs.addConstraint(code.parityRow(pos - code.k()), true);
-    }
-    return cs.consistent();
-}
-
-/**
- * Ground truth by enumeration of feasible failing subsets through the
- * general decoder (<= 2^numFaults subsets): the worst simultaneous
- * post-correction data errors over any subset, in total and restricted
- * to positions where @p unprofiled says the profile misses.
- *
- * @return {worst total errors, worst unprofiled errors}.
- */
-std::pair<std::size_t, std::size_t>
-worstFeasibleErrors(const ecc::BchCode &code,
-                    const fault::WordFaultModel &fm,
-                    const std::function<bool(std::size_t)> &unprofiled)
-{
-    std::size_t worst_total = 0, worst_unprofiled = 0;
-    for (std::uint32_t mask = 1;
-         mask < (std::uint32_t{1} << fm.numFaults()); ++mask) {
-        if (!feasibleOnBch(code, fm, mask))
-            continue;
-        std::vector<std::size_t> failing;
-        for (std::size_t i = 0; i < fm.numFaults(); ++i)
-            if ((mask >> i) & 1)
-                failing.push_back(fm.faults()[i].position);
-        const auto errors = code.decodeErrorPattern(failing);
-        worst_total = std::max(worst_total, errors.size());
-        std::size_t count = 0;
-        for (const std::size_t e : errors)
-            if (unprofiled(e))
-                ++count;
-        worst_unprofiled = std::max(worst_unprofiled, count);
-    }
-    return {worst_total, worst_unprofiled};
-}
 
 /**
  * Generalization of the paper's key bound (section 6.3.2): with a
@@ -158,14 +104,12 @@ makeDecOnDieEcc()
                 fault::WordFaultModel::makeUniformFixedCount(code.n(), n,
                                                              0.5,
                                                              fault_rng);
-            std::set<std::size_t> direct;
-            for (const fault::CellFault &f : fm.faults())
-                if (f.position < code.k())
-                    direct.insert(f.position);
-
-            const auto [worst_empty, worst_direct] = worstFeasibleErrors(
-                code, fm,
-                [&direct](std::size_t e) { return direct.count(e) == 0; });
+            const core::AtRiskAnalyzer analyzer(code, fm);
+            const gf2::BitVector &direct = analyzer.directAtRisk();
+            const std::size_t worst_empty =
+                analyzer.maxSimultaneousErrors(gf2::BitVector(code.k()));
+            const std::size_t worst_direct =
+                analyzer.maxSimultaneousErrors(direct);
             worst_empty_all = std::max(worst_empty_all, worst_empty);
             worst_direct_all = std::max(worst_direct_all, worst_direct);
             if (worst_direct > 1)
@@ -190,10 +134,9 @@ makeDecOnDieEcc()
                 raw ^= d;
                 identified |= raw;
             }
-            bool covered = true;
-            for (const std::size_t pos : direct)
-                covered = covered && identified.get(pos);
-            if (covered)
+            gf2::BitVector missed = direct;
+            missed.andNot(identified);
+            if (missed.isZero())
                 ++full_coverage;
         }
 
@@ -330,34 +273,28 @@ makeBchTSweep()
             });
 
         // Ground truth per word by enumeration of feasible failing
-        // subsets through the general decoder (<= 2^pre_errors). It
-        // runs after the batch: decoding mutates the code's scratch,
-        // which the scalar blocks copy.
+        // subsets through the general decoder (<= 2^pre_errors).
         std::size_t direct_total = 0;
         std::size_t naive_found = 0, harp_found = 0;
         std::size_t full_words = 0;
         std::size_t worst_empty_all = 0, worst_harp_all = 0;
         bool bound_respected = true;
         for (const SweepWord &sim : sims) {
-            std::set<std::size_t> direct;
-            for (const fault::CellFault &f : sim.faults.faults())
-                if (f.position < code.k())
-                    direct.insert(f.position);
-            direct_total += direct.size();
-            bool full = true;
-            for (const std::size_t pos : direct) {
-                naive_found += sim.naive->identified().get(pos) ? 1 : 0;
-                const bool harp_hit = sim.harp->identified().get(pos);
-                harp_found += harp_hit ? 1 : 0;
-                full = full && harp_hit;
-            }
+            const core::AtRiskAnalyzer analyzer(code, sim.faults);
+            const gf2::BitVector &direct = analyzer.directAtRisk();
+            direct_total += direct.popcount();
+            naive_found += (direct & sim.naive->identified()).popcount();
+            const std::size_t harp_hits =
+                (direct & sim.harp->identified()).popcount();
+            harp_found += harp_hits;
+            const bool full = harp_hits == direct.popcount();
             if (full)
                 ++full_words;
 
-            const auto [worst_empty, worst_harp] = worstFeasibleErrors(
-                code, sim.faults, [&sim](std::size_t e) {
-                    return !sim.harp->identified().get(e);
-                });
+            const std::size_t worst_empty =
+                analyzer.maxSimultaneousErrors(gf2::BitVector(code.k()));
+            const std::size_t worst_harp =
+                analyzer.maxSimultaneousErrors(sim.harp->identified());
             worst_empty_all = std::max(worst_empty_all, worst_empty);
             worst_harp_all = std::max(worst_harp_all, worst_harp);
             if (full && worst_harp > t)

@@ -1,16 +1,20 @@
 /**
  * @file
  * Unit and property tests for the ground-truth at-risk analyzer,
- * including a Monte-Carlo cross-check of the exact Fig. 4 probabilities
- * and the Table 2 amplification bound.
+ * including a brute-force oracle over every dataword (Hamming and BCH,
+ * true and anti cells), a Monte-Carlo cross-check of the exact Fig. 4
+ * probabilities and the Table 2 amplification bound.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 #include "common/rng.hh"
 #include "core/at_risk_analyzer.hh"
+#include "ecc/bch_general.hh"
+#include "fault/cell.hh"
 #include "gf2/linear_solver.hh"
 
 namespace harp::core {
@@ -151,7 +155,6 @@ TEST(AtRiskAnalyzer, OutcomesMatchDirectSimulation)
                 observed.push_back(static_cast<std::uint16_t>(b));
             });
             EXPECT_EQ(observed, outcome.postErrors);
-            EXPECT_EQ(decoded.syndrome, outcome.syndrome);
         }
     }
 }
@@ -294,12 +297,179 @@ TEST(AtRiskAnalyzer, PerBitProbabilityZeroWhenDischarged)
 TEST(AtRiskAnalyzer, TooManyCellsThrows)
 {
     const ecc::HammingCode code = makeCode(53);
+    for (const std::size_t cells : {AtRiskAnalyzer::maxCells + 1, std::size_t{20}}) {
+        std::vector<fault::CellFault> faults;
+        for (std::size_t i = 0; i < cells; ++i)
+            faults.push_back({i, 0.5});
+        const fault::WordFaultModel fm(code.n(), faults);
+        EXPECT_THROW(AtRiskAnalyzer(code, fm), std::invalid_argument)
+            << cells << " cells";
+    }
+}
+
+/**
+ * Brute-force ground truth for one word: try all 2^k datawords. A
+ * dataword realises every mask made of all its charged p=1 cells plus
+ * any subset of its charged p<1 cells (uncharged cells never fail).
+ * Each realisable mask is decoded through a real encode / corrupt /
+ * decode cycle on a witness dataword, in ascending mask order.
+ */
+template <typename Code>
+std::vector<ErrorPatternOutcome>
+bruteForceOutcomes(const Code &code, const fault::WordFaultModel &fm)
+{
+    const std::vector<fault::CellFault> &cells = fm.faults();
+    // One witness dataword per distinct charged-cell set.
+    std::map<std::uint32_t, std::uint64_t> charged_witness;
+    for (std::uint64_t bits = 0; bits < (std::uint64_t{1} << code.k());
+         ++bits) {
+        const gf2::BitVector codeword =
+            code.encode(gf2::BitVector::fromUint(bits, code.k()));
+        std::uint32_t charged = 0;
+        for (std::size_t i = 0; i < cells.size(); ++i)
+            if (fault::isCharged(fm.technology(),
+                                 codeword.get(cells[i].position)))
+                charged |= std::uint32_t{1} << i;
+        charged_witness.emplace(charged, bits);
+    }
+
+    std::map<std::uint32_t, std::uint64_t> realisable;
+    for (const auto &[charged, bits] : charged_witness) {
+        std::uint32_t certain = 0;
+        for (std::size_t i = 0; i < cells.size(); ++i)
+            if (((charged >> i) & 1) && cells[i].probability >= 1.0)
+                certain |= std::uint32_t{1} << i;
+        const std::uint32_t optional = charged & ~certain;
+        for (std::uint32_t sub = optional;; sub = (sub - 1) & optional) {
+            if ((certain | sub) != 0)
+                realisable.emplace(certain | sub, bits);
+            if (sub == 0)
+                break;
+        }
+    }
+
+    std::vector<ErrorPatternOutcome> outcomes;
+    for (const auto &[mask, bits] : realisable) {
+        const gf2::BitVector d = gf2::BitVector::fromUint(bits, code.k());
+        gf2::BitVector received = code.encode(d);
+        for (std::size_t i = 0; i < cells.size(); ++i)
+            if ((mask >> i) & 1)
+                received.flip(cells[i].position);
+        gf2::BitVector diff = code.decode(received).dataword;
+        diff ^= d;
+        ErrorPatternOutcome outcome;
+        outcome.failingMask = mask;
+        diff.forEachSetBit([&](std::size_t b) {
+            outcome.postErrors.push_back(static_cast<std::uint16_t>(b));
+        });
+        outcomes.push_back(std::move(outcome));
+    }
+    return outcomes;
+}
+
+/** Fault model over @p positions plus random ones up to @p cells in
+ *  total, each cell at p=0.5 or p=1 with equal odds. */
+fault::WordFaultModel
+mixedFaults(std::size_t n, std::size_t cells, fault::CellTechnology tech,
+            common::Xoshiro256 &rng, std::set<std::size_t> positions = {})
+{
+    while (positions.size() < cells)
+        positions.insert(rng.nextBelow(n));
     std::vector<fault::CellFault> faults;
-    for (std::size_t i = 0; i < 20; ++i)
-        faults.push_back({i, 0.5});
-    const fault::WordFaultModel fm(code.n(), faults);
-    EXPECT_THROW(AtRiskAnalyzer(code, fm, 16), std::invalid_argument);
-    EXPECT_NO_THROW(AtRiskAnalyzer(code, fm, 20));
+    for (const std::size_t pos : positions)
+        faults.push_back({pos, rng.nextBelow(2) == 0 ? 0.5 : 1.0});
+    return fault::WordFaultModel(n, faults, tech);
+}
+
+/**
+ * Compare the analyzer with the brute-force oracle on one word; returns
+ * how many nonempty masks the fault model makes infeasible.
+ */
+template <typename Code>
+std::size_t
+expectMatchesBruteForce(const Code &code, const fault::WordFaultModel &fm)
+{
+    const AtRiskAnalyzer analyzer(code, fm);
+    const std::vector<ErrorPatternOutcome> expected =
+        bruteForceOutcomes(code, fm);
+    const std::vector<ErrorPatternOutcome> &actual = analyzer.outcomes();
+    EXPECT_EQ(actual.size(), expected.size());
+    gf2::BitVector direct(code.k()), indirect(code.k());
+    for (std::size_t o = 0; o < std::min(actual.size(), expected.size());
+         ++o) {
+        EXPECT_EQ(actual[o].failingMask, expected[o].failingMask)
+            << "outcome " << o;
+        EXPECT_EQ(actual[o].postErrors, expected[o].postErrors)
+            << "mask " << expected[o].failingMask;
+        std::set<std::size_t> failing;
+        for (std::size_t i = 0; i < fm.numFaults(); ++i)
+            if ((expected[o].failingMask >> i) & 1)
+                failing.insert(fm.faults()[i].position);
+        for (const std::size_t pos : failing)
+            if (pos < code.k())
+                direct.set(pos, true);
+        for (const std::uint16_t pos : expected[o].postErrors)
+            if (failing.count(pos) == 0)
+                indirect.set(pos, true);
+    }
+    EXPECT_EQ(analyzer.directAtRisk(), direct);
+    EXPECT_EQ(analyzer.indirectAtRisk(), indirect);
+    return ((std::size_t{1} << fm.numFaults()) - 1) - expected.size();
+}
+
+TEST(AtRiskAnalyzer, HammingMatchesBruteForceOracle)
+{
+    common::Xoshiro256 rng(59);
+    std::size_t excluded = 0;
+    for (const auto tech : {fault::CellTechnology::TrueCell,
+                            fault::CellTechnology::AntiCell}) {
+        for (int trial = 0; trial < 6; ++trial) {
+            // Short codes make dependencies among random cells common.
+            for (const std::size_t k : {4u, 8u}) {
+                const ecc::HammingCode code = makeCode(900 + trial, k);
+                const fault::WordFaultModel fm =
+                    mixedFaults(code.n(), 3 + trial % 4, tech, rng);
+                SCOPED_TRACE(testing::Message()
+                             << "k=" << k << " trial " << trial);
+                excluded += expectMatchesBruteForce(code, fm);
+            }
+            // At k = 16, plant one: parity cell j and the data cells of
+            // its row store bits that always XOR to zero.
+            const ecc::HammingCode code = makeCode(950 + trial, 16);
+            const std::size_t j = trial % code.p();
+            std::set<std::size_t> planted{code.k() + j};
+            code.parityRow(j).forEachSetBit(
+                [&](std::size_t pos) { planted.insert(pos); });
+            const fault::WordFaultModel fm = mixedFaults(
+                code.n(), planted.size() + 1, tech, rng, planted);
+            SCOPED_TRACE(testing::Message() << "k=16 trial " << trial);
+            excluded += expectMatchesBruteForce(code, fm);
+        }
+    }
+    EXPECT_GT(excluded, 0u) << "no trial exercised infeasible masks";
+}
+
+TEST(AtRiskAnalyzer, BchMatchesBruteForceOracle)
+{
+    common::Xoshiro256 rng(61);
+    std::size_t excluded = 0;
+    for (const std::size_t t : {1u, 2u, 3u}) {
+        for (const std::size_t k : {10u, 16u}) {
+            const ecc::BchCode code(k, t);
+            for (const auto tech : {fault::CellTechnology::TrueCell,
+                                    fault::CellTechnology::AntiCell}) {
+                for (int trial = 0; trial < 2; ++trial) {
+                    const fault::WordFaultModel fm = mixedFaults(
+                        code.n(), 4 + 2 * trial + t % 2, tech, rng);
+                    SCOPED_TRACE(testing::Message()
+                                 << "t=" << t << " k=" << k
+                                 << " trial " << trial);
+                    excluded += expectMatchesBruteForce(code, fm);
+                }
+            }
+        }
+    }
+    EXPECT_GT(excluded, 0u) << "no trial exercised infeasible masks";
 }
 
 } // namespace

@@ -2,7 +2,8 @@
  * @file
  * Tests for the general t-error-correcting BCH code (Berlekamp-Massey +
  * Chien search), including a cross-check against the closed-form t=2
- * decoder and exhaustive/sampled error sweeps for t = 1..4.
+ * decoder, exhaustive/sampled error sweeps for t = 1..4, and concurrent
+ * decoding through one shared code.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <set>
 
 #include "common/rng.hh"
+#include "common/thread_pool.hh"
 #include "ecc/bch_code.hh"
 #include "ecc/bch_general.hh"
 
@@ -298,6 +300,50 @@ TEST(BchGeneral, DecodeIntoReusesResultAndMatchesDecode)
         EXPECT_EQ(reused.correctedPositions, fresh.correctedPositions);
         EXPECT_EQ(reused.detectedUncorrectable,
                   fresh.detectedUncorrectable);
+    }
+}
+
+TEST(BchGeneral, SharedCodeDecodesConcurrently)
+{
+    // One const code, four pool threads, each decoding through its own
+    // result: the code holds no decode state, so every thread must
+    // reproduce the serial decodes (and a TSan build sees no race).
+    const BchCode code(64, 3);
+    common::Xoshiro256 rng(12);
+    std::vector<gf2::BitVector> received;
+    for (int trial = 0; trial < 64; ++trial) {
+        gf2::BitVector c = code.encode(gf2::BitVector::random(64, rng));
+        const std::size_t weight = rng.nextBelow(6); // 0..5 errors
+        for (const std::size_t pos : randomErrors(weight, code.n(), rng))
+            c.flip(pos);
+        received.push_back(std::move(c));
+    }
+    std::vector<BchGeneralDecodeResult> serial;
+    for (const gf2::BitVector &c : received)
+        serial.push_back(code.decode(c));
+
+    constexpr std::size_t threads = 4;
+    std::vector<std::vector<BchGeneralDecodeResult>> decoded(threads);
+    common::ThreadPool pool(threads);
+    for (std::size_t w = 0; w < threads; ++w) {
+        pool.submit([&, w] {
+            BchGeneralDecodeResult result;
+            for (const gf2::BitVector &c : received) {
+                code.decodeInto(c, result);
+                decoded[w].push_back(result);
+            }
+        });
+    }
+    pool.wait();
+    for (std::size_t w = 0; w < threads; ++w) {
+        ASSERT_EQ(decoded[w].size(), serial.size());
+        for (std::size_t i = 0; i < serial.size(); ++i) {
+            EXPECT_EQ(decoded[w][i].dataword, serial[i].dataword);
+            EXPECT_EQ(decoded[w][i].correctedPositions,
+                      serial[i].correctedPositions);
+            EXPECT_EQ(decoded[w][i].detectedUncorrectable,
+                      serial[i].detectedUncorrectable);
+        }
     }
 }
 

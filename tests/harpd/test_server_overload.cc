@@ -16,6 +16,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -124,6 +125,16 @@ submitRequest(const std::string &campaign, const std::string &tenant,
     return request;
 }
 
+/** A request naming only a verb and a campaign (status, cancel...). */
+JsonValue
+campaignRequest(const std::string &verb, const std::string &campaign)
+{
+    JsonValue request = JsonValue::object();
+    request.set("verb", JsonValue(verb));
+    request.set("campaign", JsonValue(campaign));
+    return request;
+}
+
 /** One streamed campaign, reassembled; terminal kind recorded. */
 struct Streamed
 {
@@ -134,11 +145,11 @@ struct Streamed
     bool resumableAtDeadline = false;
 };
 
+/** Read @p client's campaign stream until its terminal event. */
 Streamed
-streamToEnd(Client &client, const JsonValue &request)
+readToEnd(Client &client)
 {
     Streamed streamed;
-    EXPECT_TRUE(client.send(request));
     for (;;) {
         const std::optional<JsonValue> event = client.read();
         if (!event.has_value())
@@ -162,6 +173,13 @@ streamToEnd(Client &client, const JsonValue &request)
         }
     }
     return streamed;
+}
+
+Streamed
+streamToEnd(Client &client, const JsonValue &request)
+{
+    EXPECT_TRUE(client.send(request));
+    return readToEnd(client);
 }
 
 /**
@@ -224,10 +242,7 @@ class ServerOverloadTest : public ::testing::Test
                       const std::string &campaign)
     {
         Client client(config_.socketPath);
-        JsonValue req = JsonValue::object();
-        req.set("verb", JsonValue(verb));
-        req.set("campaign", JsonValue(campaign));
-        return client.request(req);
+        return client.request(campaignRequest(verb, campaign));
     }
 
     JsonValue awaitState(const std::string &campaign,
@@ -276,19 +291,36 @@ TEST_F(ServerOverloadTest, ThunderingHerdFollowsWeightsWithExactBytes)
     const std::string batch = batchDir(6, "10"); // 24 jobs, same spec
 
     // Three tenants, same 24-job campaign each, 3:1:1 weights on a
-    // 2-slot pool. Submitted together; completion order and the
-    // lights' progress at the heavy finish line witness the shares.
+    // 2-slot pool. All three connect first and a latch releases the
+    // submits together, so no tenant runs alone while another is still
+    // connecting; completion order and the lights' progress at the
+    // heavy finish line witness the shares.
     const char *tenants[3] = {"heavy", "l1", "l2"};
+    std::vector<std::unique_ptr<Client>> conns;
+    for (int t = 0; t < 3; ++t)
+        conns.push_back(std::make_unique<Client>(config_.socketPath));
+    // The heavy thread asks for the lights' progress over this
+    // already-open connection the moment its own stream ends.
+    Client probe(config_.socketPath);
+    JsonValue lightStatus[2];
+    std::latch release(3);
     Streamed streams[3];
     std::chrono::steady_clock::time_point doneAt[3];
     std::vector<std::thread> clients;
     for (int t = 0; t < 3; ++t)
         clients.emplace_back([&, t] {
-            Client client(config_.socketPath);
-            streams[t] = streamToEnd(
-                client, submitRequest(std::string("herd_") + tenants[t],
-                                      tenants[t], 6, "10"));
+            Client &client = *conns[t];
+            release.arrive_and_wait();
+            ASSERT_TRUE(client.send(
+                submitRequest(std::string("herd_") + tenants[t],
+                              tenants[t], 6, "10")));
+            expectAccepted(client);
+            streams[t] = readToEnd(client);
             doneAt[t] = std::chrono::steady_clock::now();
+            if (t == 0)
+                for (int l = 0; l < 2; ++l)
+                    lightStatus[l] = probe.request(campaignRequest(
+                        "status", std::string("herd_") + tenants[1 + l]));
         });
     clients[0].join();
     // The instant the heavy tenant finished: how far did the lights
@@ -296,9 +328,10 @@ TEST_F(ServerOverloadTest, ThunderingHerdFollowsWeightsWithExactBytes)
     // wall time, leaving each light ~8 of 24 done. Accept a wide band
     // around that — the failure modes (FIFO: lights ~24 done before
     // heavy; starvation: lights at 0) land far outside it.
-    for (const char *light : {"l1", "l2"}) {
-        const JsonValue reply =
-            request("status", std::string("herd_") + light);
+    for (int l = 0; l < 2; ++l) {
+        const char *light = tenants[1 + l];
+        const JsonValue &reply = lightStatus[l];
+        ASSERT_NE(reply.find("type"), nullptr) << light << " unprobed";
         ASSERT_EQ(reply.find("type")->asString(), "status");
         const std::int64_t done =
             reply.find("completed_jobs")->asInt();
