@@ -9,7 +9,8 @@
 # when doxygen is not installed). Exits nonzero on any failure.
 #
 #   scripts/verify.sh          # tier-1 + smoke perf wiring + a 10k-chip
-#                              # fleet byte-identity smoke
+#                              # fleet byte-identity smoke + the pinned
+#                              # default-scale fleet result_hash
 #   scripts/verify.sh --full   # additionally: full-scale perf snapshot
 #                              # (sliced64 AND sliced256 floors + the
 #                              # <= 15% regression gate against the
@@ -440,6 +441,24 @@ for variant in t4-sliced64 t4-sliced256; do
         exit 1
     }
 done
+
+# The default-scale sweep (16 policies x 125k chips, well under a
+# second) must reproduce the seed-1 result_hash that
+# perfbench/pinned.json holds for it; test_golden_hashes pins only a
+# small scale.
+./build/src/harp_run fleet_policy_sweep --seed 1 --threads 4 \
+    --no-timings --out "$smoke_dir/fleet-default" > /dev/null
+python3 - "$smoke_dir/fleet-default/summary.json" \
+          perfbench/pinned.json <<'EOF'
+import json, sys
+with open(sys.argv[1], encoding="utf-8") as f:
+    got = json.load(f)["experiments"][0]["result_hash"]
+with open(sys.argv[2], encoding="utf-8") as f:
+    want = json.load(f)["default"]["1"]["fleet_policy_sweep"]
+if got != want:
+    sys.exit(f"verify: default-scale fleet_policy_sweep result_hash "
+             f"{got} != pinned {want}")
+EOF
 
 # --- Perf snapshot (smoke) ------------------------------------------------
 # Wiring + bit-identity witness of the engine-throughput bench, and a

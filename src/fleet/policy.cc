@@ -222,9 +222,9 @@ runChipOperation(ChipSim &sim, std::size_t words_per_chip,
                                                 sim.profiles[i]);
     }
 
-    // Initial field contents: fault-free words stay all-zero (their
-    // zero codeword is self-consistent and scrubs clean), so cost
-    // scales with the chip's faults, not its capacity.
+    // Initial field contents: only the words that can err are written.
+    // Every other word keeps the all-zero codeword its chip and
+    // controller start with.
     std::vector<gf2::BitVector> shadow(sim.faultyWords.size());
     for (std::size_t i = 0; i < sim.faultyWords.size(); ++i) {
         const std::size_t word = sim.faultyWords[i].first;
@@ -262,9 +262,23 @@ runChipOperation(ChipSim &sim, std::size_t words_per_chip,
             if (!r.corrupt && !(r.dataword == shadow[i]))
                 ++out.silentCorruptions;
         }
+        // Patrol scrub, confined to the faulty words. This is exactly
+        // controller.scrubAll() for every field ChipOutcome reports:
+        //  - a fault-free word holds the zero codeword, and its
+        //    secondary check bits are zero (the code is linear);
+        //  - it is never written or corrupted;
+        //  - so its scrub never writes back, never marks the profile
+        //    and never touches repair. It only bumps the reads/scrubs
+        //    counters, which ChipOutcome does not report.
+        // faultyWords is ascending (materialize), so the faulty words
+        // are scrubbed in the same relative order as by scrubAll(), and
+        // first-come-first-served spare capture in RepairMechanism is
+        // unchanged. Cost scales with the chip's faults, not its
+        // capacity.
         if (policy.scrubInterval != 0 &&
             (w + 1) % policy.scrubInterval == 0)
-            controller.scrubAll();
+            for (const auto &[word, model] : sim.faultyWords)
+                controller.scrub(word);
     }
 
     const mem::ControllerStats &stats = controller.stats();

@@ -149,7 +149,9 @@ void profileChipScalar(ChipSim &sim, const FleetPolicy &policy);
  * Replay field operation for one chip on the full memory system and
  * return its outcome. sim.profiles (if filled) seeds the error profile
  * before the initial writes, so the repair budget is consumed in
- * (word, bit) order.
+ * (word, bit) order. Only sim.faultyWords (ascending, distinct) are
+ * written, read and patrol-scrubbed; the outcome equals a patrol of
+ * every word (see the exactness argument in policy.cc).
  */
 ChipOutcome runChipOperation(ChipSim &sim, std::size_t words_per_chip,
                              const FleetPolicy &policy,

@@ -9,6 +9,7 @@ namespace harp::gf2 {
 
 using common::bitOffset;
 using common::tailMask;
+using common::wordBits;
 using common::wordIndex;
 using common::wordsFor;
 
@@ -171,8 +172,18 @@ BitVector::slice(std::size_t begin, std::size_t end) const
 {
     assert(begin <= end && end <= size_);
     BitVector out(end - begin);
-    for (std::size_t i = begin; i < end; ++i)
-        out.set(i - begin, get(i));
+    // Output word w is source bits [begin + 64w, begin + 64w + 64): the
+    // low part of source word first + w shifted down, OR-ed with the
+    // high part of the next word when begin is not word-aligned.
+    const std::size_t first = wordIndex(begin);
+    const std::size_t shift = bitOffset(begin);
+    for (std::size_t w = 0; w < out.words_.size(); ++w) {
+        std::uint64_t word = words_[first + w] >> shift;
+        if (shift != 0 && first + w + 1 < words_.size())
+            word |= words_[first + w + 1] << (wordBits - shift);
+        out.words_[w] = word;
+    }
+    out.maskTail();
     return out;
 }
 

@@ -70,8 +70,9 @@ MemoryChip::write(std::size_t word, const gf2::BitVector &dataword)
 ChipReadResult
 MemoryChip::read(std::size_t word) const
 {
-    const ecc::DecodeResult decoded = onDieEcc_.decode(storage_.at(word));
-    return ChipReadResult{decoded.dataword};
+    ChipReadResult result{gf2::BitVector(onDieEcc_.k())};
+    onDieEcc_.decodeDataInto(storage_.at(word), result.dataword);
+    return result;
 }
 
 gf2::BitVector

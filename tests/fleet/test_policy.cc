@@ -3,7 +3,9 @@
  * Property and oracle tests for the fleet policy driver.
  *
  * The closed-form oracles run hand-crafted one-chip populations
- * through runChipOperation and check exact outcomes. The monotonicity
+ * through runChipOperation and check exact outcomes; a slow reference
+ * field loop that patrol-scrubs every word checks runChipOperation's
+ * confined scrub on sampled chips. The monotonicity
  * properties exploit the driver's common-random-numbers contract:
  * every chip's randomness derives from (fleet seed, chip index) only,
  * so two policies see literally the same fleet and the same per-window
@@ -19,6 +21,8 @@
 
 #include "fault/fault_model.hh"
 #include "fleet/policy.hh"
+#include "memsys/memory_chip.hh"
+#include "memsys/memory_controller.hh"
 #include "support/property.hh"
 #include "support/seeded_fixture.hh"
 
@@ -237,6 +241,209 @@ TEST(FleetProperty, ProfilingRoundsMonotoneUnderUnlimitedBudget)
                 << "round step " << i << " worsened failures";
         EXPECT_LT(failed.back(), failed.front());
     });
+}
+
+/** Field outcome of the reference loop, plus the repair state the
+ *  oracle test checks its sample against. */
+struct ReferenceOutcome
+{
+    ChipOutcome outcome;
+    bool sparesExhausted = false;
+    std::size_t droppedAllocations = 0;
+};
+
+/**
+ * Slow reference for runChipOperation: the same field loop, but the
+ * patrol scrubs every word of the chip with scrubAll(), or every word
+ * in descending order when @p reverse_patrol is set (used only to show
+ * that the sample is sensitive to the patrol order). The seed domains
+ * repeat the private constants of fleet/policy.cc.
+ */
+ReferenceOutcome
+referenceChipOperation(const ChipSim &sim, std::size_t words_per_chip,
+                       const FleetPolicy &policy, std::size_t windows,
+                       bool reverse_patrol = false)
+{
+    constexpr std::uint64_t kDataDomain = 0xDA7Au;
+    constexpr std::uint64_t kCrnDomain = 0xC124u;
+
+    const std::size_t k = sim.onDie.k();
+    mem::MemoryChip chip(sim.onDie, words_per_chip);
+    for (const auto &[word, model] : sim.faultyWords)
+        chip.setFaultModel(word, model);
+
+    mem::MemoryController controller(chip, sim.secondary);
+    controller.setRepairCapacity(policy.repairBudget);
+    if (!sim.profiles.empty()) {
+        for (std::size_t i = 0; i < sim.faultyWords.size(); ++i)
+            controller.profile().markWordBitmap(sim.faultyWords[i].first,
+                                                sim.profiles[i]);
+    }
+
+    std::vector<gf2::BitVector> shadow(sim.faultyWords.size());
+    for (std::size_t i = 0; i < sim.faultyWords.size(); ++i) {
+        const std::size_t word = sim.faultyWords[i].first;
+        common::Xoshiro256 data_rng(
+            common::deriveSeed(sim.chipSeed, {kDataDomain, word}));
+        shadow[i] = gf2::BitVector::random(k, data_rng);
+        controller.write(word, shadow[i]);
+    }
+
+    ReferenceOutcome ref;
+    ChipOutcome &out = ref.outcome;
+    out.faultEvents = sim.faultEvents;
+    for (const auto &[word, model] : sim.faultyWords)
+        out.atRiskCells += model.numFaults();
+
+    std::vector<double> uniforms;
+    for (std::size_t w = 0; w < windows; ++w) {
+        for (const auto &[word, model] : sim.faultyWords) {
+            common::Xoshiro256 crn_rng(common::deriveSeed(
+                sim.chipSeed, {kCrnDomain, word, w}));
+            uniforms.resize(model.numFaults());
+            for (double &u : uniforms)
+                u = crn_rng.nextDouble();
+            const gf2::BitVector mask = model.injectErrorsCrn(
+                chip.storedCodeword(word), uniforms);
+            if (!mask.isZero())
+                chip.corrupt(word, mask);
+        }
+        for (std::size_t i = 0; i < sim.faultyWords.size(); ++i) {
+            const mem::ControllerReadResult r =
+                controller.read(sim.faultyWords[i].first);
+            if (!r.corrupt && !(r.dataword == shadow[i]))
+                ++out.silentCorruptions;
+        }
+        if (policy.scrubInterval != 0 &&
+            (w + 1) % policy.scrubInterval == 0) {
+            if (!reverse_patrol)
+                controller.scrubAll();
+            else
+                for (std::size_t word = words_per_chip; word-- > 0;)
+                    controller.scrub(word);
+        }
+    }
+
+    const mem::ControllerStats &stats = controller.stats();
+    out.uncorrectableEvents = stats.uncorrectableEvents;
+    out.profiledBits = controller.profile().totalAtRisk();
+    out.repairSpareBits = controller.repairMechanism().spareBitsUsed();
+    out.repairedBitReads = stats.repairedBits;
+    out.scrubWritebacks = stats.scrubWritebacks;
+    ref.sparesExhausted = controller.repairMechanism().exhausted();
+    ref.droppedAllocations =
+        controller.repairMechanism().droppedAllocations();
+    return ref;
+}
+
+/**
+ * Oracle: the patrol scrub confined to the faulty words gives exactly
+ * the outcome of patrolling every word, field by field, on sampled
+ * faulty chips of a hot DDR4 field fleet, over scrub intervals,
+ * repair budgets (including exhaustion) and active profiling.
+ */
+TEST(FleetOracle, ConfinedScrubMatchesFullPatrol)
+{
+    constexpr std::size_t kChips = 200;
+    constexpr std::size_t kWordsPerChip = 64;
+    constexpr std::size_t kWindows = 12;
+    constexpr std::size_t kK = 64;
+
+    FleetDistribution dist = FleetDistribution::ddr4Field();
+    for (double &fit : dist.modeFit)
+        fit *= 2000.0;
+    const PopulationSampler sampler(dist, {kWordsPerChip, 71}, 43800.0,
+                                    /*fleet_seed=*/0x5C2B);
+    std::vector<ChipSim> bare;
+    for (std::size_t chip = 0; bare.size() < kChips; ++chip) {
+        ASSERT_LT(chip, 100 * kChips) << "fleet too quiet to sample";
+        const ChipSample sample = sampler.sample(chip);
+        if (sample.faulty())
+            bare.push_back(makeChipSim(0x5C2B, chip, kK,
+                                       sampler.materialize(sample),
+                                       sample.events.size()));
+    }
+    FleetPolicy harp;
+    harp.profiler = ProfilerKind::HarpU;
+    harp.activeRounds = 8;
+    std::vector<ChipSim> profiled = bare;
+    for (ChipSim &sim : profiled)
+        profileChipScalar(sim, harp);
+
+    bool scrub_wrote_back = false;
+    bool budget_exhausted = false;
+    bool allocation_dropped = false;
+    bool order_sensitive = false;
+    for (const ProfilerKind profiler :
+         {ProfilerKind::None, ProfilerKind::HarpU}) {
+        std::vector<ChipSim> &sims =
+            profiler == ProfilerKind::None ? bare : profiled;
+        for (const std::size_t interval :
+             {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
+            for (const std::size_t budget :
+                 {std::size_t{0}, std::size_t{1}, std::size_t{16},
+                  kUnlimitedBudget}) {
+                FleetPolicy policy = harp;
+                policy.profiler = profiler;
+                policy.scrubInterval = interval;
+                policy.repairBudget = budget;
+                for (ChipSim &sim : sims) {
+                    SCOPED_TRACE(testing::Message()
+                                 << "chip " << sim.chipIndex
+                                 << " profiler "
+                                 << profilerKindName(profiler)
+                                 << " interval " << interval
+                                 << " budget " << budget);
+                    const ReferenceOutcome ref = referenceChipOperation(
+                        sim, kWordsPerChip, policy, kWindows);
+                    const ChipOutcome got = runChipOperation(
+                        sim, kWordsPerChip, policy, kWindows);
+                    const ChipOutcome &want = ref.outcome;
+                    ASSERT_EQ(got.faultEvents, want.faultEvents);
+                    ASSERT_EQ(got.atRiskCells, want.atRiskCells);
+                    ASSERT_EQ(got.profiledBits, want.profiledBits);
+                    ASSERT_EQ(got.repairSpareBits, want.repairSpareBits);
+                    ASSERT_EQ(got.repairedBitReads, want.repairedBitReads);
+                    ASSERT_EQ(got.uncorrectableEvents,
+                              want.uncorrectableEvents);
+                    ASSERT_EQ(got.silentCorruptions,
+                              want.silentCorruptions);
+                    ASSERT_EQ(got.scrubWritebacks, want.scrubWritebacks);
+                    scrub_wrote_back |= want.scrubWritebacks > 0;
+                    if (budget != 0) {
+                        budget_exhausted |= ref.sparesExhausted;
+                        allocation_dropped |= ref.droppedAllocations > 0;
+                    }
+                    if (!order_sensitive && budget != 0 &&
+                        budget != kUnlimitedBudget) {
+                        const ChipOutcome reversed =
+                            referenceChipOperation(sim, kWordsPerChip,
+                                                   policy, kWindows,
+                                                   /*reverse_patrol=*/true)
+                                .outcome;
+                        order_sensitive =
+                            reversed.repairSpareBits !=
+                                want.repairSpareBits ||
+                            reversed.repairedBitReads !=
+                                want.repairedBitReads ||
+                            reversed.uncorrectableEvents !=
+                                want.uncorrectableEvents ||
+                            reversed.silentCorruptions !=
+                                want.silentCorruptions;
+                    }
+                }
+            }
+        }
+    }
+    // The sample exercised the paths the confinement must preserve:
+    // scrub writebacks, and a nonzero spare budget running out with
+    // first-come-first-served captures turned away. Some chip's outcome
+    // also changes when the patrol runs in descending word order, so
+    // the sample would catch a confined scrub that broke the order.
+    EXPECT_TRUE(scrub_wrote_back);
+    EXPECT_TRUE(budget_exhausted);
+    EXPECT_TRUE(allocation_dropped);
+    EXPECT_TRUE(order_sensitive);
 }
 
 /** Scalar, sliced64 and sliced256 runs of the same fleet are exactly

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.hh"
 #include "gf2/bit_vector.hh"
 
@@ -130,6 +132,43 @@ TEST(BitVector, SliceExtractsRange)
     EXPECT_TRUE(parity.get(0));
     EXPECT_TRUE(parity.get(6));
     EXPECT_EQ(parity.popcount(), 2u);
+}
+
+/**
+ * slice() against a bit-by-bit reference for every (begin, end) pair of
+ * random and all-ones vectors of every size 1..200: empty and
+ * single-bit ranges, word-aligned and unaligned starts, and ranges
+ * that cross word boundaries. The reference is built with
+ * fromIndices, so operator== (which compares storage words) also
+ * proves the result's tail bits are masked.
+ */
+TEST(BitVector, SliceMatchesBitByBitReference)
+{
+    common::Xoshiro256 rng(0x511CE);
+    for (std::size_t size = 1; size <= 200; ++size) {
+        BitVector ones(size);
+        ones.fill(true);
+        for (const BitVector &v : {BitVector::random(size, rng), ones}) {
+            for (std::size_t begin = 0; begin <= size; ++begin) {
+                for (std::size_t end = begin; end <= size; ++end) {
+                    std::vector<std::size_t> indices;
+                    for (std::size_t i = begin; i < end; ++i)
+                        if (v.get(i))
+                            indices.push_back(i - begin);
+                    const BitVector want =
+                        BitVector::fromIndices(end - begin, indices);
+                    const BitVector got = v.slice(begin, end);
+                    if (got != want) {
+                        ADD_FAILURE() << "slice(" << begin << ", " << end
+                                      << ") of " << v.toString() << " = "
+                                      << got.toString() << ", want "
+                                      << want.toString();
+                        return;
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(BitVector, ForEachSetBitAscending)
