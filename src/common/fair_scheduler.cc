@@ -11,6 +11,9 @@ namespace {
 /** Virtual-time quantum; one slot costs stride1 / effective weight. */
 constexpr std::uint64_t stride1 = 1ull << 20;
 
+/** Fixed-point unit of the fair-share credit: one slot. */
+constexpr std::uint64_t creditUnit = 1ull << 20;
+
 /** Lower rank is served first on a virtual-time tie. */
 std::size_t
 classRank(PriorityClass cls)
@@ -113,13 +116,21 @@ FairScheduler::leave(std::uint64_t id)
     slotFreed_.notify_all();
 }
 
+bool
+FairScheduler::isActive(const Tenant &t, Clock::time_point now)
+{
+    return t.waiting > 0 || t.slotsHeld > 0 || now < t.graceUntil;
+}
+
 std::uint64_t
-FairScheduler::chooseLocked() const
+FairScheduler::chooseLocked(Clock::time_point now) const
 {
     std::uint64_t best = 0;
     std::tuple<std::uint64_t, std::size_t, std::uint64_t> bestKey{};
     for (const auto &[id, e] : entities_) {
-        if (!e.waiting)
+        const bool in_grace =
+            !e.waiting && e.outstanding == 0 && now < e.graceUntil;
+        if (!e.waiting && !in_grace)
             continue;
         const auto tit = tenants_.find(e.tenant);
         const std::uint64_t pass =
@@ -155,14 +166,35 @@ FairScheduler::acquire(std::uint64_t id, std::size_t want,
 
     // A tenant coming back from idle starts at the current virtual
     // time: it neither owes history (unbounded wait) nor banks credit
-    // from its idle period (unbounded burst).
-    if (t.waiting == 0 && t.slotsHeld == 0)
+    // from its idle period (unbounded burst). One returning within its
+    // handoff grace is still active and keeps both.
+    Clock::time_point now = Clock::now();
+    if (!isActive(t, now)) {
         t.pass = std::max(t.pass, virtualTime_);
+        t.credit = 0;
+    }
     e.waiting = true;
-    e.ticket = nextTicket_++;
+    // Within its grace the entity never left the queue: it keeps the
+    // place the grace held for it.
+    if (!(now < e.graceUntil))
+        e.ticket = nextTicket_++;
+    e.graceUntil = {};
     ++t.waiting;
 
-    while (freeSlots_ == 0 || chooseLocked() != id) {
+    Share share;
+    for (;;) {
+        now = Clock::now();
+        const std::uint64_t head = chooseLocked(now);
+        if (head == id && freeSlots_ > 0) {
+            share = shareLocked(e, t, now);
+            // A grant the credit widened waits for its extra slot:
+            // granted narrower, it would spend the credit for nothing.
+            // Only slots that come back without this grant count, so a
+            // holder that is itself waiting cannot deadlock the head.
+            if (!share.widened ||
+                freeSlots_ >= std::min({want, share.cap, returningLocked()}))
+                break;
+        }
         if (abort != nullptr && abort->load(std::memory_order_relaxed)) {
             e.waiting = false;
             if (t.waiting > 0)
@@ -170,46 +202,35 @@ FairScheduler::acquire(std::uint64_t id, std::size_t want,
             return grant;
         }
         // Timed wait: abort flags flip without a notification, and a
-        // bounded poll keeps the governor livelock-free by design.
-        slotFreed_.wait_for(lock, std::chrono::milliseconds(25));
+        // bounded poll keeps the governor livelock-free by design. A
+        // head in its handoff grace is waited for until the grace ends.
+        Clock::time_point wake = now + std::chrono::milliseconds(25);
+        if (head != 0 && head != id) {
+            const Entity &h = entities_.at(head);
+            if (!h.waiting)
+                wake = std::min(wake, h.graceUntil);
+        }
+        slotFreed_.wait_until(lock, wake);
     }
     e.waiting = false;
     if (t.waiting > 0)
         --t.waiting;
 
-    // Contended iff any *other* tenant is active right now.
-    std::size_t activeWeight = t.weight;
-    bool contended = false;
-    for (const auto &[name, other] : tenants_) {
-        if (name == e.tenant)
-            continue;
-        if (other.waiting > 0 || other.slotsHeld > 0) {
-            contended = true;
-            activeWeight += other.weight;
-        }
-    }
-
-    if (!contended) {
+    grant.contended = share.contended;
+    if (!share.contended) {
         // Solo tenant: whole pool, batch-style trailing-wave widening.
         grant.width = std::min(want, freeSlots_);
         grant.innerThreads =
             std::max<std::size_t>(1, config_.slots / grant.width);
     } else {
-        // Brownout rung 1: cap at the weighted fair share; Background
-        // campaigns are squeezed to half of it and lose intra-job
-        // sharding entirely, so interactive tenants feel overload last.
-        const std::size_t share = std::max<std::size_t>(
-            1, config_.slots * t.weight / activeWeight);
-        const std::size_t cap = e.cls == PriorityClass::Background
-                                    ? std::max<std::size_t>(1, share / 2)
-                                    : share;
-        grant.width = std::min({want, freeSlots_, cap});
+        grant.width = std::min({want, freeSlots_, share.cap});
         grant.innerThreads =
             e.cls == PriorityClass::Background
                 ? 1
-                : std::max<std::size_t>(1, share / grant.width);
+                : std::max<std::size_t>(1, share.slots / grant.width);
     }
-    grant.contended = contended;
+    t.credit = share.credit;
+    e.moreWaves = grant.width < want;
 
     freeSlots_ -= grant.width;
     t.slotsHeld += grant.width;
@@ -226,7 +247,7 @@ FairScheduler::acquire(std::uint64_t id, std::size_t want,
     // banked debt (a priority inversion for fresh interactive work).
     std::uint64_t minActive = ~0ull;
     for (const auto &[name, other] : tenants_)
-        if (other.waiting > 0 || other.slotsHeld > 0)
+        if (isActive(other, now))
             minActive = std::min(minActive, other.pass);
     if (minActive != ~0ull)
         virtualTime_ = minActive;
@@ -234,6 +255,55 @@ FairScheduler::acquire(std::uint64_t id, std::size_t want,
     // The head changed; re-evaluate every waiter's predicate.
     slotFreed_.notify_all();
     return grant;
+}
+
+FairScheduler::Share
+FairScheduler::shareLocked(const Entity &e, const Tenant &t,
+                           Clock::time_point now) const
+{
+    // Contended iff any *other* tenant is active right now.
+    Share share;
+    std::size_t activeWeight = t.weight;
+    for (const auto &[name, other] : tenants_) {
+        if (name == e.tenant || !isActive(other, now))
+            continue;
+        share.contended = true;
+        activeWeight += other.weight;
+    }
+    if (!share.contended)
+        return share;
+
+    // Brownout rung 1: cap at the weighted fair share; Background
+    // campaigns are squeezed to half of it and lose intra-job sharding
+    // entirely, so interactive tenants feel overload last. The share's
+    // fraction below a whole slot is carried to the tenant's next grant
+    // (largest remainder), so over its grants the share averages
+    // slots * weight / activeWeight, not its floor. Rounding the
+    // fixed-point share up makes five 0.2 fractions add up to a slot.
+    const std::uint64_t fair =
+        (config_.slots * t.weight * creditUnit + activeWeight - 1) /
+        activeWeight;
+    const std::uint64_t exact = fair + t.credit;
+    share.slots = std::max<std::size_t>(1, exact / creditUnit);
+    share.credit = exact > share.slots * creditUnit
+                       ? exact - share.slots * creditUnit
+                       : 0;
+    share.widened =
+        share.slots > std::max<std::uint64_t>(1, fair / creditUnit);
+    share.cap = e.cls == PriorityClass::Background
+                    ? std::max<std::size_t>(1, share.slots / 2)
+                    : share.slots;
+    return share;
+}
+
+std::size_t
+FairScheduler::returningLocked() const
+{
+    std::size_t slots = freeSlots_;
+    for (const auto &[id, e] : entities_)
+        if (!e.waiting)
+            slots += e.outstanding;
+    return slots;
 }
 
 void
@@ -248,6 +318,15 @@ FairScheduler::releaseOne(std::uint64_t id)
         return;
     --e.outstanding;
     const auto tit = tenants_.find(e.tenant);
+    if (e.outstanding == 0 && e.moreWaves) {
+        // The wave ended and another follows: its entity asks again
+        // right after its bookkeeping, so it stays a candidate for the
+        // handoff grace.
+        e.graceUntil = Clock::now() + config_.handoffGrace;
+        if (tit != tenants_.end())
+            tit->second.graceUntil =
+                std::max(tit->second.graceUntil, e.graceUntil);
+    }
     if (tit != tenants_.end() && tit->second.slotsHeld > 0)
         --tit->second.slotsHeld;
     if (freeSlots_ < config_.slots)

@@ -77,8 +77,9 @@ RoundEngine::runRound(const std::vector<Profiler *> &profilers)
         {
             PhaseScope t(ph_datapath);
             codec_->encodeInto(written, stored_);
-            received_.assignPrefix(stored_);
-            received_ ^= faults_.injectErrorsCrn(stored_, uniforms_);
+            // received = stored ^ error mask, the mask written in place.
+            faults_.injectErrorsCrn(stored_, uniforms_, received_);
+            received_ ^= stored_;
 
             codec_->decodeDataInto(received_, post_);
             raw_.assignPrefix(received_);

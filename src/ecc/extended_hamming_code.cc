@@ -18,16 +18,69 @@ ExtendedHammingCode::randomSecDed(std::size_t k, common::Xoshiro256 &rng)
 gf2::BitVector
 ExtendedHammingCode::encode(const gf2::BitVector &dataword) const
 {
-    const gf2::BitVector inner_cw = inner_.encode(dataword);
+    gf2::BitVector check(checkBits());
+    encodeCheckInto(dataword, check);
     gf2::BitVector codeword(n());
-    bool overall = false;
-    for (std::size_t i = 0; i < inner_cw.size(); ++i) {
-        const bool bit = inner_cw.get(i);
-        codeword.set(i, bit);
+    for (std::size_t i = 0; i < k(); ++i)
+        codeword.set(i, dataword.get(i));
+    for (std::size_t i = 0; i < check.size(); ++i)
+        codeword.set(k() + i, check.get(i));
+    return codeword;
+}
+
+void
+ExtendedHammingCode::encodeCheckInto(const gf2::BitVector &dataword,
+                                     gf2::BitVector &check) const
+{
+    assert(dataword.size() == k());
+    assert(check.size() == checkBits());
+    const std::size_t p = inner_.p();
+    bool overall = dataword.popcount() & 1;
+    for (std::size_t j = 0; j < p; ++j) {
+        const bool bit = inner_.parityRow(j).dot(dataword);
+        check.set(j, bit);
         overall ^= bit;
     }
-    codeword.set(n() - 1, overall);
-    return codeword;
+    check.set(p, overall);
+}
+
+SecondaryDecodeOutcome
+ExtendedHammingCode::decodeInPlace(gf2::BitVector &data,
+                                   const gf2::BitVector &check) const
+{
+    assert(data.size() == k());
+    assert(check.size() == checkBits());
+    const std::size_t p = inner_.p();
+    std::uint32_t s = 0;
+    for (std::size_t j = 0; j < p; ++j)
+        if (inner_.parityRow(j).dot(data) != check.get(j))
+            s |= std::uint32_t{1} << j;
+    // Parity of the whole received codeword: 1 means an odd number of
+    // bit errors occurred.
+    const bool overall = (data.popcount() + check.popcount()) & 1;
+
+    SecondaryDecodeOutcome outcome;
+    if (s == 0 && !overall)
+        return outcome;
+    // Even parity with a nonzero syndrome is a double error: detected,
+    // not correctable.
+    outcome.status = SecondaryDecodeStatus::DetectedUncorrectable;
+    if (!overall)
+        return outcome;
+
+    // Odd error count: assume a single error (the SECDED guarantee).
+    // A zero inner syndrome means the overall parity bit itself flipped.
+    const std::optional<std::size_t> pos =
+        s == 0 ? std::optional<std::size_t>(n() - 1)
+               : inner_.syndromeToPosition(s);
+    // An odd-weight pattern matching no column has >= 3 errors.
+    if (!pos)
+        return outcome;
+    if (*pos < k())
+        data.flip(*pos);
+    outcome.status = SecondaryDecodeStatus::CorrectedSingle;
+    outcome.correctedPosition = pos;
+    return outcome;
 }
 
 SecondaryDecodeResult
@@ -35,49 +88,9 @@ ExtendedHammingCode::decode(const gf2::BitVector &codeword) const
 {
     assert(codeword.size() == n());
     SecondaryDecodeResult result;
-
-    const gf2::BitVector inner_cw = codeword.slice(0, inner_.n());
-    const std::uint32_t s = inner_.syndrome(inner_cw);
-    bool overall = codeword.get(n() - 1);
-    for (std::size_t i = 0; i < inner_.n(); ++i)
-        overall ^= inner_cw.get(i);
-    // `overall` is now the parity of the whole received codeword: 1 means
-    // an odd number of bit errors occurred.
-
-    if (s == 0 && !overall) {
-        result.status = SecondaryDecodeStatus::NoError;
-        result.dataword = inner_cw.slice(0, inner_.k());
-        return result;
-    }
-
-    if (overall) {
-        // Odd error count: assume a single error (the SECDED guarantee).
-        if (s == 0) {
-            // The overall parity bit itself flipped.
-            result.status = SecondaryDecodeStatus::CorrectedSingle;
-            result.correctedPosition = n() - 1;
-            result.dataword = inner_cw.slice(0, inner_.k());
-            return result;
-        }
-        const auto pos = inner_.syndromeToPosition(s);
-        if (pos) {
-            gf2::BitVector fixed = inner_cw;
-            fixed.flip(*pos);
-            result.status = SecondaryDecodeStatus::CorrectedSingle;
-            result.correctedPosition = pos;
-            result.dataword = fixed.slice(0, inner_.k());
-            return result;
-        }
-        // Odd-weight error pattern matching no column: >= 3 errors.
-        result.status = SecondaryDecodeStatus::DetectedUncorrectable;
-        result.dataword = inner_cw.slice(0, inner_.k());
-        return result;
-    }
-
-    // Even parity with nonzero syndrome: a double error. Detected, not
-    // correctable.
-    result.status = SecondaryDecodeStatus::DetectedUncorrectable;
-    result.dataword = inner_cw.slice(0, inner_.k());
+    result.dataword = codeword.slice(0, k());
+    static_cast<SecondaryDecodeOutcome &>(result) =
+        decodeInPlace(result.dataword, codeword.slice(k(), n()));
     return result;
 }
 

@@ -26,13 +26,18 @@ enum class SecondaryDecodeStatus
     DetectedUncorrectable ///< ≥2 errors detected; data not trustworthy.
 };
 
-/** Outcome of a secondary-ECC decode. */
-struct SecondaryDecodeResult
+/** Classification of one secondary-ECC decode and what it corrected. */
+struct SecondaryDecodeOutcome
 {
     SecondaryDecodeStatus status = SecondaryDecodeStatus::NoError;
     /** Corrected codeword position (data or check bit) when status is
      *  CorrectedSingle. */
     std::optional<std::size_t> correctedPosition;
+};
+
+/** Outcome of a whole-codeword secondary-ECC decode. */
+struct SecondaryDecodeResult : SecondaryDecodeOutcome
+{
     /** Post-correction dataword. Valid unless status is
      *  DetectedUncorrectable. */
     gf2::BitVector dataword;
@@ -42,6 +47,9 @@ struct SecondaryDecodeResult
  * SECDED code: an inner SEC Hamming code plus one overall parity bit.
  *
  * Codeword layout: [data (k) | inner parity (p) | overall parity (1)].
+ * The check bits are the last p + 1 positions; the memory controller
+ * stores them apart from the data, so the hot entry points take the
+ * dataword and the check bits as two vectors.
  */
 class ExtendedHammingCode
 {
@@ -63,7 +71,21 @@ class ExtendedHammingCode
     /** Encode a dataword into a SECDED codeword. */
     gf2::BitVector encode(const gf2::BitVector &dataword) const;
 
-    /** Decode with single-correction / double-detection semantics. */
+    /** Allocation-free encode of the check bits alone into @p check
+     *  (pre-sized checkBits()): the codeword's last p + 1 positions. */
+    void encodeCheckInto(const gf2::BitVector &dataword,
+                         gf2::BitVector &check) const;
+
+    /**
+     * Allocation-free decode of the codeword [@p data | @p check] with
+     * single-correction / double-detection semantics. A corrected data
+     * bit is flipped in @p data; on every other outcome @p data keeps
+     * the received bits. This is the code's one decoding rule.
+     */
+    SecondaryDecodeOutcome decodeInPlace(gf2::BitVector &data,
+                                         const gf2::BitVector &check) const;
+
+    /** Decode a whole codeword: decodeInPlace() over its two parts. */
     SecondaryDecodeResult decode(const gf2::BitVector &codeword) const;
 
   private:

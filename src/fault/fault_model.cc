@@ -90,13 +90,15 @@ WordFaultModel::injectErrors(const gf2::BitVector &stored_codeword,
     return mask;
 }
 
-gf2::BitVector
+void
 WordFaultModel::injectErrorsCrn(const gf2::BitVector &stored_codeword,
-                                const std::vector<double> &uniforms) const
+                                const std::vector<double> &uniforms,
+                                gf2::BitVector &mask) const
 {
     assert(stored_codeword.size() == wordBits_);
     assert(uniforms.size() >= faults_.size());
-    gf2::BitVector mask(wordBits_);
+    assert(mask.size() == wordBits_);
+    mask.fill(false);
     for (std::size_t i = 0; i < faults_.size(); ++i) {
         const CellFault &f = faults_[i];
         if (!isCharged(tech_, stored_codeword.get(f.position)))
@@ -104,7 +106,6 @@ WordFaultModel::injectErrorsCrn(const gf2::BitVector &stored_codeword,
         if (uniforms[i] < f.probability)
             mask.set(f.position, true);
     }
-    return mask;
 }
 
 } // namespace harp::fault

@@ -95,9 +95,13 @@ class WordFaultModel
      * expose *identical* pre-correction randomness to every profiler
      * (HARP section 7.1.2's fairness requirement) even when profilers
      * write different data patterns.
+     *
+     * Overwrites @p mask (pre-sized to wordBits(); no allocation) with
+     * the n-bit error mask; set bits are pre-correction errors.
      */
-    gf2::BitVector injectErrorsCrn(const gf2::BitVector &stored_codeword,
-                                   const std::vector<double> &uniforms) const;
+    void injectErrorsCrn(const gf2::BitVector &stored_codeword,
+                         const std::vector<double> &uniforms,
+                         gf2::BitVector &mask) const;
 
   private:
     std::size_t wordBits_ = 0;

@@ -239,7 +239,9 @@ runChipOperation(ChipSim &sim, std::size_t words_per_chip,
     for (const auto &[word, model] : sim.faultyWords)
         out.atRiskCells += model.numFaults();
 
+    // Per-window scratch, reused so the window loop allocates nothing.
     std::vector<double> uniforms;
+    gf2::BitVector mask(chip.codewordBits());
     for (std::size_t w = 0; w < windows; ++w) {
         // Retention strikes: one CRN stream per (chip, word, window),
         // indexed by at-risk cell — identical trials under every
@@ -250,14 +252,14 @@ runChipOperation(ChipSim &sim, std::size_t words_per_chip,
             uniforms.resize(model.numFaults());
             for (double &u : uniforms)
                 u = crn_rng.nextDouble();
-            const gf2::BitVector mask = model.injectErrorsCrn(
-                chip.storedCodeword(word), uniforms);
+            model.injectErrorsCrn(chip.storedCodeword(word), uniforms,
+                                  mask);
             if (!mask.isZero())
                 chip.corrupt(word, mask);
         }
         // Application reads of the words that can err.
         for (std::size_t i = 0; i < sim.faultyWords.size(); ++i) {
-            const mem::ControllerReadResult r =
+            const mem::ControllerReadResult &r =
                 controller.read(sim.faultyWords[i].first);
             if (!r.corrupt && !(r.dataword == shadow[i]))
                 ++out.silentCorruptions;

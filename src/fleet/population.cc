@@ -17,15 +17,16 @@ constexpr std::uint64_t kPopulationDomain = 0xF1EE7u;
  * Poisson draw by Knuth's product method — exact and cheap for the
  * small event rates of field fleets (lambda well below 1 for realistic
  * device-hours; exp(-lambda) stays comfortably above double underflow
- * for every rate validate() accepts via the count cap below).
+ * for every rate validate() accepts via the count cap below). Takes
+ * the product limit exp(-lambda), which the sampler computes once per
+ * tier.
  */
 std::size_t
-drawPoisson(double lambda, common::Xoshiro256 &rng)
+drawPoisson(double limit, common::Xoshiro256 &rng)
 {
     // Events per chip beyond this are astronomically unlikely at field
     // rates and would only grow the placement work; cap to bound cost.
     constexpr std::size_t kMaxEvents = 64;
-    const double limit = std::exp(-lambda);
     std::size_t count = 0;
     double product = 1.0;
     while (count < kMaxEvents) {
@@ -73,9 +74,10 @@ PopulationSampler::PopulationSampler(FleetDistribution dist,
         throw std::invalid_argument("device hours must be > 0");
 
     double cum = 0.0;
-    for (const ReliabilityTier &tier : dist_.tiers) {
-        cum += tier.fraction;
+    for (std::size_t t = 0; t < dist_.tiers.size(); ++t) {
+        cum += dist_.tiers[t].fraction;
         tierCdf_.push_back(cum);
+        poissonLimit_.push_back(std::exp(-eventRate(t)));
     }
     const auto mix = dist_.modeMix();
     cum = 0.0;
@@ -93,7 +95,8 @@ PopulationSampler::sample(std::size_t chip) const
     ChipSample sample;
     sample.chipIndex = chip;
     sample.tier = drawFromCdf(tierCdf_, rng.nextDouble());
-    const std::size_t events = drawPoisson(eventRate(sample.tier), rng);
+    const std::size_t events =
+        drawPoisson(poissonLimit_[sample.tier], rng);
     sample.events.reserve(events);
     for (std::size_t e = 0; e < events; ++e)
         sample.events.push_back(sampleEvent(rng));

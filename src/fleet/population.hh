@@ -116,6 +116,8 @@ class PopulationSampler
     std::uint64_t fleetSeed_;
     /** Cumulative tier fractions for the tier draw. */
     std::vector<double> tierCdf_;
+    /** Per-tier Poisson product limit exp(-eventRate(tier)). */
+    std::vector<double> poissonLimit_;
     /** Cumulative mode mix for the mode draw. */
     std::array<double, kNumFaultModes> modeCdf_{};
 };

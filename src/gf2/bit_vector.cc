@@ -196,6 +196,19 @@ BitVector::assignPrefix(const BitVector &src)
     maskTail();
 }
 
+bool
+BitVector::isPrefixOf(const BitVector &src) const
+{
+    assert(src.size_ >= size_);
+    if (words_.empty())
+        return true;
+    const std::size_t last = words_.size() - 1;
+    for (std::size_t w = 0; w < last; ++w)
+        if (words_[w] != src.words_[w])
+            return false;
+    return words_[last] == (src.words_[last] & tailMask(size_));
+}
+
 void
 BitVector::maskTail()
 {

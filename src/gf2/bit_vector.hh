@@ -169,6 +169,11 @@ class BitVector
      */
     void assignPrefix(const BitVector &src);
 
+    /** True iff this vector equals the first size() bits of @p src
+     *  (@p src must be at least as long): `*this == src.slice(0,
+     *  size())` without the slice. */
+    bool isPrefixOf(const BitVector &src) const;
+
     /** Direct word access for performance-critical consumers. */
     const std::vector<std::uint64_t> &words() const { return words_; }
 

@@ -64,15 +64,13 @@ void
 MemoryChip::write(std::size_t word, const gf2::BitVector &dataword)
 {
     assert(dataword.size() == onDieEcc_.k());
-    storage_.at(word) = onDieEcc_.encode(dataword);
+    onDieEcc_.encodeInto(dataword, storage_.at(word));
 }
 
-ChipReadResult
-MemoryChip::read(std::size_t word) const
+void
+MemoryChip::read(std::size_t word, gf2::BitVector &dataword) const
 {
-    ChipReadResult result{gf2::BitVector(onDieEcc_.k())};
-    onDieEcc_.decodeDataInto(storage_.at(word), result.dataword);
-    return result;
+    onDieEcc_.decodeDataInto(storage_.at(word), dataword);
 }
 
 gf2::BitVector

@@ -27,13 +27,6 @@
 
 namespace harp::mem {
 
-/** Controller-visible result of a normal (on-die-ECC-corrected) read. */
-struct ChipReadResult
-{
-    /** Post-correction dataword d'. */
-    gf2::BitVector dataword;
-};
-
 /**
  * A memory chip: an array of ECC words behind a single on-die ECC engine.
  */
@@ -81,8 +74,12 @@ class MemoryChip
     /** Encode @p dataword through on-die ECC and store it. */
     void write(std::size_t word, const gf2::BitVector &dataword);
 
-    /** Normal read: on-die ECC decodes (and possibly miscorrects). */
-    ChipReadResult read(std::size_t word) const;
+    /**
+     * Normal read: on-die ECC decodes (and possibly miscorrects) the
+     * stored codeword into the post-correction dataword d', written to
+     * @p dataword (pre-sized to datawordBits(); no allocation).
+     */
+    void read(std::size_t word, gf2::BitVector &dataword) const;
 
     /** Decode-bypass read: raw stored data bits, no parity, no correction. */
     gf2::BitVector readRaw(std::size_t word) const;

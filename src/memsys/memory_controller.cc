@@ -12,12 +12,11 @@ MemoryController::MemoryController(
       profile_(chip.numWords(), chip.datawordBits()),
       repair_(chip.numWords(), chip.datawordBits())
 {
+    lastRead_.dataword = gf2::BitVector(chip.datawordBits());
     if (secondaryEcc_) {
         assert(secondaryEcc_->k() == chip.datawordBits());
-        const std::size_t check_bits =
-            secondaryEcc_->n() - secondaryEcc_->k();
-        secondaryCheckBits_.assign(chip.numWords(),
-                                   gf2::BitVector(check_bits));
+        secondaryCheckBits_.assign(
+            chip.numWords(), gf2::BitVector(secondaryEcc_->checkBits()));
     }
 }
 
@@ -33,69 +32,57 @@ MemoryController::writeInternal(std::size_t word,
                                 const gf2::BitVector &dataword)
 {
     repair_.onWrite(word, dataword, profile_);
-    if (secondaryEcc_) {
-        const gf2::BitVector codeword = secondaryEcc_->encode(dataword);
-        secondaryCheckBits_.at(word) =
-            codeword.slice(secondaryEcc_->k(), secondaryEcc_->n());
-    }
+    if (secondaryEcc_)
+        secondaryEcc_->encodeCheckInto(dataword,
+                                       secondaryCheckBits_.at(word));
     chip_.write(word, dataword);
 }
 
-ControllerReadResult
+const ControllerReadResult &
 MemoryController::read(std::size_t word)
 {
     ++stats_.reads;
-    ControllerReadResult result;
+    ControllerReadResult &result = lastRead_;
+    result.corrupt = false;
+    result.newlyProfiledBit.reset();
+    gf2::BitVector &data = result.dataword;
 
     // 1. On-die ECC decode inside the chip.
-    gf2::BitVector data = chip_.read(word).dataword;
+    chip_.read(word, data);
 
     // 2. Bit-repair of profiled positions.
     stats_.repairedBits += repair_.repair(word, data);
 
-    // 3. Reactive profiling through the secondary ECC.
-    if (!secondaryEcc_) {
-        result.dataword = std::move(data);
+    // 3. Reactive profiling through the secondary ECC, decoded in place
+    //    from the stored check bits.
+    if (!secondaryEcc_)
         return result;
-    }
-
-    const std::size_t k = secondaryEcc_->k();
-    gf2::BitVector codeword(secondaryEcc_->n());
-    for (std::size_t i = 0; i < k; ++i)
-        codeword.set(i, data.get(i));
-    const gf2::BitVector &check = secondaryCheckBits_.at(word);
-    for (std::size_t i = 0; i < check.size(); ++i)
-        codeword.set(k + i, check.get(i));
-
-    const ecc::SecondaryDecodeResult decoded =
-        secondaryEcc_->decode(codeword);
+    const ecc::SecondaryDecodeOutcome decoded =
+        secondaryEcc_->decodeInPlace(data, secondaryCheckBits_.at(word));
     switch (decoded.status) {
       case ecc::SecondaryDecodeStatus::NoError:
-        result.dataword = std::move(data);
         return result;
       case ecc::SecondaryDecodeStatus::CorrectedSingle:
-        if (decoded.correctedPosition && *decoded.correctedPosition < k) {
-            // A genuine single data-bit error: correct it and record the
-            // bit as at-risk (first-failure reactive identification).
+        if (*decoded.correctedPosition < data.size()) {
+            // A genuine single data-bit error, already corrected in
+            // place: record the bit as at-risk (first-failure reactive
+            // identification).
             ++stats_.secondaryCorrections;
             if (!profile_.isAtRisk(word, *decoded.correctedPosition)) {
                 profile_.markAtRisk(word, *decoded.correctedPosition);
                 ++stats_.reactiveIdentifications;
                 result.newlyProfiledBit = decoded.correctedPosition;
             }
-            result.dataword = decoded.dataword;
             return result;
         }
         // The decoder blamed a check bit, but check bits live in reliable
         // controller storage: the real error pattern had >= 3 data errors.
         ++stats_.uncorrectableEvents;
-        result.dataword = std::move(data);
         result.corrupt = true;
         return result;
       case ecc::SecondaryDecodeStatus::DetectedUncorrectable:
       default:
         ++stats_.uncorrectableEvents;
-        result.dataword = std::move(data);
         result.corrupt = true;
         return result;
     }
@@ -107,21 +94,21 @@ MemoryController::readRaw(std::size_t word) const
     return chip_.readRaw(word);
 }
 
-ControllerReadResult
+const ControllerReadResult &
 MemoryController::scrub(std::size_t word)
 {
     ++stats_.scrubs;
     // Detect whether the stored codeword currently carries raw *data*
-    // errors: compare the bypass view against the corrected data. Note
-    // that a controller-side scrubber cannot see parity-cell errors (the
+    // errors: compare the bypass view (the stored data prefix, which a
+    // read does not change) against the corrected data. Note that a
+    // controller-side scrubber cannot see parity-cell errors (the
     // bypass path hides parity, section 5.2), so parity-only corruption
     // persists until the next write — a faithful consequence of on-die
     // ECC opacity.
-    const gf2::BitVector raw_before = chip_.readRaw(word);
-    ControllerReadResult result = read(word);
+    const ControllerReadResult &result = read(word);
     if (result.corrupt)
         return result; // cannot scrub what cannot be corrected
-    if (!(raw_before == result.dataword)) {
+    if (!result.dataword.isPrefixOf(chip_.storedCodeword(word))) {
         // Write the clean value back, resetting accumulated raw errors.
         writeInternal(word, result.dataword);
         ++stats_.scrubWritebacks;

@@ -71,8 +71,12 @@ class MemoryController
     /**
      * Normal read: on-die decode, repair, then reactive secondary decode.
      * Newly identified at-risk bits are recorded into the error profile.
+     *
+     * The result lives in a buffer the controller reuses, so a read
+     * allocates nothing; it stays valid until the next read(), scrub()
+     * or scrubAll() on this controller. Copy it to keep it longer.
      */
-    ControllerReadResult read(std::size_t word);
+    const ControllerReadResult &read(std::size_t word);
 
     /** Active-profiling read: the chip's decode-bypass raw data path. */
     gf2::BitVector readRaw(std::size_t word) const;
@@ -84,9 +88,11 @@ class MemoryController
      * clean data back so raw errors do not accumulate between accesses.
      *
      * @return The read outcome (newlyProfiledBit reports a reactive
-     *         identification, corrupt reports an unscrubbable word).
+     *         identification, corrupt reports an unscrubbable word),
+     *         valid as read()'s is. A scrub that writes nothing back
+     *         allocates nothing.
      */
-    ControllerReadResult scrub(std::size_t word);
+    const ControllerReadResult &scrub(std::size_t word);
 
     /** Scrub every word once; returns the number of corrupt words. */
     std::size_t scrubAll();
@@ -121,6 +127,8 @@ class MemoryController
      *  storage (check-bit storage is assumed error-free, as in the paper's
      *  evaluation of the reactive phase). */
     std::vector<gf2::BitVector> secondaryCheckBits_;
+    /** The buffer read() and scrub() return, reused across reads. */
+    ControllerReadResult lastRead_;
     ControllerStats stats_;
 };
 

@@ -413,7 +413,7 @@ makeRetentionCaseStudy()
                 controller.write(w, shadow[w]);
             } else {
                 chip.retentionTick(w, retention_rng);
-                const mem::ControllerReadResult r = controller.read(w);
+                const mem::ControllerReadResult &r = controller.read(w);
                 if (!r.corrupt && !(r.dataword == shadow[w]))
                     ++silent_corruptions;
             }

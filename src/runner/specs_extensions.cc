@@ -507,6 +507,8 @@ makeSecondaryInterleaving()
         std::size_t single_indirect = 0, double_indirect = 0;
         std::size_t secded_uncorrectable = 0, secded_wrong = 0;
         std::size_t bch_failures = 0;
+        gf2::BitVector secded_check(secded.checkBits());
+        gf2::BitVector secded_data(128);
 
         for (std::size_t pair = 0; pair < pairs; ++pair) {
             // Two independent on-die words with full HARP direct
@@ -561,22 +563,17 @@ makeSecondaryInterleaving()
                 if (residual_errors == 0)
                     continue;
 
-                // SECDED secondary over the interleaved 128-bit word.
+                // SECDED secondary over the interleaved 128-bit word,
+                // decoded in place from the written word's check bits.
                 {
-                    const gf2::BitVector check =
-                        secded.encode(joined_written)
-                            .slice(128, secded.n());
-                    gf2::BitVector codeword(secded.n());
-                    for (std::size_t i = 0; i < 128; ++i)
-                        codeword.set(i, joined_read.get(i));
-                    for (std::size_t i = 0; i < check.size(); ++i)
-                        codeword.set(128 + i, check.get(i));
-                    const ecc::SecondaryDecodeResult r =
-                        secded.decode(codeword);
+                    secded.encodeCheckInto(joined_written, secded_check);
+                    secded_data = joined_read;
+                    const ecc::SecondaryDecodeOutcome r =
+                        secded.decodeInPlace(secded_data, secded_check);
                     if (r.status == ecc::SecondaryDecodeStatus::
                                         DetectedUncorrectable)
                         ++secded_uncorrectable;
-                    else if (!(r.dataword == joined_written))
+                    else if (!(secded_data == joined_written))
                         ++secded_wrong;
                 }
                 // DEC BCH secondary over the same word.

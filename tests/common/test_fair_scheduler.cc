@@ -3,16 +3,19 @@
  * The weighted fair slot governor: solo tenants keep the whole pool
  * (batch-style trailing widening), contended grants are capped at the
  * weighted fair share with Background narrowed first, completed-slot
- * shares converge to the configured 3:1:1 weights, a saturating heavy
- * tenant cannot starve a light one, a freshly arriving interactive
- * tenant is served within a bounded number of grants, and abort/leave
- * unwind cleanly without leaking slots.
+ * shares converge to the configured 3:1:1 weights, the handoff grace
+ * holds a freed slot only between two waves of one campaign, a
+ * saturating heavy tenant cannot starve a light one, a freshly arriving
+ * interactive tenant is served within a bounded number of grants, and
+ * abort/leave unwind cleanly without leaking slots. The wave-loop
+ * shares are in test_fair_scheduler_waves.cc.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -181,6 +184,51 @@ TEST(FairSchedulerTest, WeightedSharesConvergeToThreeOneOne)
 
     for (const std::uint64_t id : ids)
         fair.leave(id);
+}
+
+/** Whether @p done is ready within @p ms milliseconds. */
+bool
+readyWithin(std::future<FairScheduler::Grant> &done, int ms)
+{
+    return done.wait_for(std::chrono::milliseconds(ms)) ==
+           std::future_status::ready;
+}
+
+TEST(FairSchedulerTest, HandoffGraceHoldsFreedSlotOnlyBetweenWaves)
+{
+    // Two campaigns of one tenant share its pass, so the stride head is
+    // the earlier ticket: a's. An hour-long grace makes "still held" a
+    // deterministic outcome.
+    FairScheduler::Config config;
+    config.slots = 1;
+    config.handoffGrace = std::chrono::hours(1);
+    FairScheduler fair(config);
+    const std::uint64_t a = fair.enroll("t", 1, PriorityClass::Normal);
+    const std::uint64_t b = fair.enroll("t", 1, PriorityClass::Normal);
+    std::atomic<bool> abort{false};
+
+    // a has two jobs and gets one slot: another wave follows.
+    ASSERT_EQ(fair.acquire(a, 2).width, 1u);
+    std::future<FairScheduler::Grant> rival = std::async(
+        std::launch::async, [&] { return fair.acquire(b, 1, &abort); });
+    fair.releaseOne(a);
+    // a is inside its grace, so the freed slot waits for a's second
+    // wave, which keeps a's place in the queue.
+    EXPECT_FALSE(readyWithin(rival, 100));
+    ASSERT_EQ(fair.acquire(a, 1).width, 1u);
+    EXPECT_FALSE(readyWithin(rival, 20));
+
+    // That wave covered all of a's jobs, so its end arms no grace: the
+    // waiting rival gets the slot although a never leaves.
+    fair.releaseOne(a);
+    const bool granted = readyWithin(rival, 5000);
+    EXPECT_TRUE(granted) << "a finished campaign held the freed slot";
+    if (!granted)
+        abort.store(true);
+    EXPECT_EQ(rival.get().width, granted ? 1u : 0u);
+    fair.releaseOne(b);
+    fair.leave(a);
+    fair.leave(b);
 }
 
 TEST(FairSchedulerTest, HeavySaturatorCannotStarveLightTenant)

@@ -106,8 +106,12 @@ TEST(FaultModel, CrnInjectionIsDeterministic)
     gf2::BitVector stored(16);
     stored.fill(true);
     const std::vector<double> uniforms = {0.4, 0.6, 0.1};
-    const gf2::BitVector a = fm.injectErrorsCrn(stored, uniforms);
-    const gf2::BitVector b = fm.injectErrorsCrn(stored, uniforms);
+    gf2::BitVector a(16);
+    fm.injectErrorsCrn(stored, uniforms, a);
+    // A reused mask is overwritten, not accumulated into.
+    gf2::BitVector b(16);
+    b.fill(true);
+    fm.injectErrorsCrn(stored, uniforms, b);
     EXPECT_EQ(a, b);
     // u < p fails: cells at sorted positions 1 (u=0.4) and 14 (u=0.1).
     EXPECT_TRUE(a.get(1));
@@ -121,7 +125,8 @@ TEST(FaultModel, CrnRespectsCharge)
     gf2::BitVector stored(16);
     stored.set(1, true); // 8 stays discharged
     const std::vector<double> uniforms = {0.0, 0.0};
-    const gf2::BitVector mask = fm.injectErrorsCrn(stored, uniforms);
+    gf2::BitVector mask(16);
+    fm.injectErrorsCrn(stored, uniforms, mask);
     EXPECT_TRUE(mask.get(1));
     EXPECT_FALSE(mask.get(8));
 }

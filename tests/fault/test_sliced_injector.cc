@@ -85,9 +85,10 @@ TEST(SlicedCrnInjector, MatchesScalarInjectErrorsCrn)
                     lanes, gf2::BitVector(word_bits));
                 received.scatter(out);
                 for (std::size_t w = 0; w < lanes; ++w) {
-                    gf2::BitVector expected = stored[w];
-                    expected ^= models[w].injectErrorsCrn(stored[w],
-                                                          uniforms[w]);
+                    gf2::BitVector expected(word_bits);
+                    models[w].injectErrorsCrn(stored[w], uniforms[w],
+                                              expected);
+                    expected ^= stored[w];
                     ASSERT_EQ(out[w], expected)
                         << "round " << round << ", use " << use
                         << ", lane " << w;
@@ -141,9 +142,11 @@ TEST(SlicedCrnInjector, MatchesScalarAtBchWordLengths)
             gf2::BitSlice64 received = stored_slice;
             injector.apply(stored_slice, received);
             for (std::size_t w = 0; w < lanes; ++w) {
-                gf2::BitVector expected = stored[w];
-                expected ^= models[w].injectErrorsCrn(
-                    stored[w], drawUniforms(models[w], ref_rngs[w]));
+                gf2::BitVector expected(stored[w].size());
+                models[w].injectErrorsCrn(
+                    stored[w], drawUniforms(models[w], ref_rngs[w]),
+                    expected);
+                expected ^= stored[w];
                 ASSERT_EQ(received.extractWord(w), expected)
                     << "round " << round << ", lane " << w;
             }

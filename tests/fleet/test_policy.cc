@@ -303,13 +303,14 @@ referenceChipOperation(const ChipSim &sim, std::size_t words_per_chip,
             uniforms.resize(model.numFaults());
             for (double &u : uniforms)
                 u = crn_rng.nextDouble();
-            const gf2::BitVector mask = model.injectErrorsCrn(
-                chip.storedCodeword(word), uniforms);
+            gf2::BitVector mask(chip.codewordBits());
+            model.injectErrorsCrn(chip.storedCodeword(word), uniforms,
+                                  mask);
             if (!mask.isZero())
                 chip.corrupt(word, mask);
         }
         for (std::size_t i = 0; i < sim.faultyWords.size(); ++i) {
-            const mem::ControllerReadResult r =
+            const mem::ControllerReadResult &r =
                 controller.read(sim.faultyWords[i].first);
             if (!r.corrupt && !(r.dataword == shadow[i]))
                 ++out.silentCorruptions;
